@@ -170,7 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 type server struct {
 	reg      *obs.Registry
 	engine   *serve.Engine
-	sub      *serve.Submitter // unlimited-retry backpressure policy for startup traffic
 	recorder *flight.Recorder
 	mux      *http.ServeMux
 	seed     int64
@@ -218,8 +217,7 @@ func newServer(seed int64, shards int, idleTimeout, admitTarget time.Duration, f
 	if err != nil {
 		return nil, err
 	}
-	sub := serve.NewSubmitter(engine, serve.SubmitterOptions{Obs: reg})
-	s := &server{reg: reg, engine: engine, sub: sub, recorder: recorder, mux: http.NewServeMux(), seed: seed, backend: backend}
+	s := &server{reg: reg, engine: engine, recorder: recorder, mux: http.NewServeMux(), seed: seed, backend: backend}
 
 	s.mux.Handle("/metrics", obs.Handler(reg))
 	s.mux.Handle("/metrics.txt", obs.TextHandler(reg))
@@ -359,12 +357,12 @@ func (s *server) playTraffic(n int) error {
 			if j == 0 {
 				kind = multipath.FingerDown
 			}
-			if err := s.sub.Submit(serve.Event{Session: id, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
+			if err := s.engine.SubmitWait(serve.Event{Session: id, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
 				return err
 			}
 		}
 		last := sample.G.Points[sample.G.Len()-1]
-		if err := s.sub.Submit(serve.Event{Session: id, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
+		if err := s.engine.SubmitWait(serve.Event{Session: id, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
 			return err
 		}
 	}

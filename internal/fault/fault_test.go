@@ -3,7 +3,6 @@ package fault_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -241,22 +240,5 @@ func TestKindStrings(t *testing.T) {
 	}
 	if fault.Kind(99).String() != "kind(99)" {
 		t.Errorf("unknown kind renders %q", fault.Kind(99).String())
-	}
-}
-
-func TestManualClock(t *testing.T) {
-	start := time.Unix(1000, 0)
-	c := fault.NewManualClock(start)
-	if !c.Now().Equal(start) {
-		t.Fatalf("Now = %v, want %v", c.Now(), start)
-	}
-	if got := c.Advance(3 * time.Second); !got.Equal(start.Add(3 * time.Second)) {
-		t.Fatalf("Advance returned %v", got)
-	}
-	if !c.Now().Equal(start.Add(3 * time.Second)) {
-		t.Fatalf("Now after Advance = %v", c.Now())
-	}
-	if got := c.Advance(-time.Hour); !got.Equal(start.Add(3 * time.Second)) {
-		t.Fatalf("negative Advance moved the clock to %v", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/netfault"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -24,7 +23,7 @@ import (
 // existed, the silent client pinned its serving goroutine forever.
 func TestIngestIdleTimeout(t *testing.T) {
 	reg := obs.New()
-	clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	_, s := startServer(t, reg, serve.Options{Shards: 1}, Options{
 		IdleTimeout:   time.Second,
 		SweepInterval: -1, // no background sweeper: the test drives SweepIdle
@@ -538,7 +537,6 @@ func TestChaosHostileMixOverSockets(t *testing.T) {
 				Obs:          reg,
 				IdleTimeout:  2 * time.Second,
 				WriteTimeout: 2 * time.Second,
-				Submitter:    serve.SubmitterOptions{MaxAttempts: 2},
 			})
 
 			sched, err := netfault.NewSchedule(netfault.Plan{

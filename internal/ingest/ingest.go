@@ -1,21 +1,20 @@
 // Package ingest is the networked front end of the serving engine: a
 // net.Listener-based server speaking the internal/wire frame protocol,
-// feeding decoded events into serve.Engine.Submit under the Submitter
-// retry policy, and answering every frame with the typed ACK/NACK
-// responses wire defines.
+// feeding decoded events into serve.Engine.SubmitWait, and answering
+// every frame with the typed ACK/NACK responses wire defines.
 //
 // One goroutine serves each connection: frames decode through a
 // per-connection wire.Decoder (which owns the connection's session
 // intern table and timestamp delta chain), every event submits through
-// a shared serve.Submitter, and refusals map to per-event NACK codes —
-// serve.ErrBadEvent to NackBadEvent, a spent retry budget
-// (serve.ErrShed) to NackShed, a bare serve.ErrQueueFull (no-retry
-// policies) to NackQueueFull, serve.ErrClosed to NackClosed followed by
-// connection teardown. An undecodable frame is answered with the
-// matching fatal code (FatalCorrupt, FatalOversized, FatalTruncated,
-// FatalVersion for a peer speaking another wire format version) and the
-// connection closes: the decoder's interning state can no longer be
-// trusted.
+// SubmitWait, and refusals map to per-event NACK codes —
+// serve.ErrBadEvent to NackBadEvent, serve.ErrOverloaded to
+// NackOverload, serve.ErrClosed to NackClosed followed by connection
+// teardown. A full shard queue is waited out, never NACKed, so this
+// server never sends NackQueueFull or NackShed. An undecodable frame
+// is answered with the matching fatal code (FatalCorrupt,
+// FatalOversized, FatalTruncated, FatalVersion for a peer speaking
+// another wire format version) and the connection closes: the
+// decoder's interning state can no longer be trusted.
 //
 // Each frame header carries the client-send stamp (wire format v2); the
 // server observes receive−send into wire.e2e.ingress_ns — the queue/
@@ -23,13 +22,12 @@
 // decoded serve.Event so the engine can attribute the full
 // send-to-decision span (wire.e2e_ns).
 //
-// Backpressure is per connection by construction: a connection blocked
-// in the Submitter's retry loop stops reading its socket, so TCP flow
+// Backpressure is per connection by construction: a connection waiting
+// in SubmitWait for queue space stops reading its socket, so TCP flow
 // control pushes back on that producer alone; other connections keep
 // their own pace. Server.Close stops the accept loop, closes every
 // connection, and waits for the per-connection goroutines — in-flight
-// frames finish their submit loop (draining through the Submitter
-// policy) before their goroutine exits.
+// frames finish submitting before their goroutine exits.
 //
 // The server defends itself against hostile and broken peers. An idle
 // watchdog (Options.IdleTimeout) tears down connections that stop
@@ -65,11 +63,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Submitter is the per-event retry policy. The zero value is the
-	// unlimited-retry don't-drop-my-events policy: backpressure then
-	// stalls the connection (and TCP pushes back on the producer)
-	// instead of shedding. Set MaxAttempts to shed instead.
-	Submitter serve.SubmitterOptions
 	// Obs, when set, attaches the wire.* metrics and the "wire.spans"
 	// span buffer (see OBSERVABILITY.md). Nil leaves the server
 	// uninstrumented at no per-event cost.
@@ -90,7 +83,7 @@ type Options struct {
 	// Tests inject a virtual clock and drive SweepIdle directly.
 	// Socket deadlines (WriteTimeout) always use real time — the
 	// kernel's clock is not injectable.
-	Clock serve.Clock
+	Clock obs.Clock
 	// MaxConns, when positive, caps concurrently served connections:
 	// an accept beyond the cap is answered with a FatalOverloaded
 	// response and closed immediately (counted in
@@ -112,8 +105,6 @@ type metrics struct {
 	framesBad     *obs.Counter         // wire.frames.rejected
 	events        *obs.Counter         // wire.events.decoded
 	nackBad       *obs.Counter         // wire.nacks.bad_event
-	nackFull      *obs.Counter         // wire.nacks.queue_full
-	nackShed      *obs.Counter         // wire.nacks.shed
 	nackClosed    *obs.Counter         // wire.nacks.closed
 	nackOverload  *obs.Counter         // wire.nacks.overload
 	idleClosed    *obs.Counter         // wire.connections.idle_closed
@@ -137,8 +128,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		framesBad:     reg.Counter("wire.frames.rejected"),
 		events:        reg.Counter("wire.events.decoded"),
 		nackBad:       reg.Counter("wire.nacks.bad_event"),
-		nackFull:      reg.Counter("wire.nacks.queue_full"),
-		nackShed:      reg.Counter("wire.nacks.shed"),
 		nackClosed:    reg.Counter("wire.nacks.closed"),
 		nackOverload:  reg.Counter("wire.nacks.overload"),
 		idleClosed:    reg.Counter("wire.connections.idle_closed"),
@@ -151,12 +140,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		spans:         reg.Spans("wire.spans", 0),
 	}
 }
-
-// wallClock is the default idleness time source.
-type wallClock struct{}
-
-// Now returns the current wall time.
-func (wallClock) Now() time.Time { return time.Now() }
 
 // connState is the watchdog's view of one live connection: when it
 // last delivered a frame (Clock nanoseconds) and whether the watchdog
@@ -172,11 +155,10 @@ type connState struct {
 type Server struct {
 	ln   net.Listener
 	eng  *serve.Engine
-	sub  *serve.Submitter
 	m    metrics
 	opts Options
 
-	clock   serve.Clock
+	clock   obs.Clock
 	startNS int64
 
 	mu     sync.Mutex
@@ -194,7 +176,6 @@ func Serve(ln net.Listener, e *serve.Engine, opts Options) *Server {
 	s := &Server{
 		ln:      ln,
 		eng:     e,
-		sub:     serve.NewSubmitter(e, opts.Submitter),
 		m:       newMetrics(opts.Obs),
 		opts:    opts,
 		conns:   make(map[net.Conn]*connState),
@@ -203,7 +184,7 @@ func Serve(ln net.Listener, e *serve.Engine, opts Options) *Server {
 	}
 	s.clock = opts.Clock
 	if s.clock == nil {
-		s.clock = wallClock{}
+		s.clock = obs.WallClock{}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -226,8 +207,8 @@ func Serve(ln net.Listener, e *serve.Engine, opts Options) *Server {
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Close stops accepting, closes every live connection, and waits for
-// the per-connection goroutines to drain their in-flight frame through
-// the Submitter policy. Idempotent.
+// the per-connection goroutines to finish submitting their in-flight
+// frame. Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -536,8 +517,8 @@ func (s *Server) decode(st *conn, payload []byte, sent int64) ([]serve.Event, er
 	return events, nil
 }
 
-// submitBatch submits one decoded batch under the retry policy,
-// appending a NACK per refused event. closing reports the engine
+// submitBatch submits one decoded batch with SubmitWait, appending a
+// NACK per refused event. closing reports the engine
 // refused with ErrClosed — the remaining events NACK closed without
 // being submitted, and the caller tears the connection down after
 // responding.
@@ -556,7 +537,7 @@ func (s *Server) submitBatch(events []serve.Event, nacks []wire.Nack) ([]wire.Na
 			s.countNack(wire.NackClosed)
 			continue
 		}
-		err := s.sub.Submit(events[i])
+		err := s.eng.SubmitWait(events[i])
 		if err == nil {
 			continue
 		}
@@ -570,19 +551,13 @@ func (s *Server) submitBatch(events []serve.Event, nacks []wire.Nack) ([]wire.Na
 	return nacks, closing
 }
 
-// nackFor maps a Submit error to its NACK code. ErrShed is checked
-// before ErrQueueFull: a shed error matches both, and the more specific
-// code tells the client its event was retried before being dropped.
+// nackFor maps a SubmitWait error to its NACK code.
 //
 //glint:coldpath runs once per refused event, not per accepted event
 func nackFor(err error) wire.NackCode {
 	switch {
 	case errors.Is(err, serve.ErrOverloaded):
 		return wire.NackOverload
-	case errors.Is(err, serve.ErrShed):
-		return wire.NackShed
-	case errors.Is(err, serve.ErrQueueFull):
-		return wire.NackQueueFull
 	case errors.Is(err, serve.ErrClosed):
 		return wire.NackClosed
 	}
@@ -597,10 +572,6 @@ func (s *Server) countNack(code wire.NackCode) {
 	switch code {
 	case wire.NackBadEvent:
 		s.m.nackBad.Inc()
-	case wire.NackQueueFull:
-		s.m.nackFull.Inc()
-	case wire.NackShed:
-		s.m.nackShed.Inc()
 	case wire.NackClosed:
 		s.m.nackClosed.Inc()
 	case wire.NackOverload:

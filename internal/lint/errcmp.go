@@ -10,9 +10,8 @@ import (
 // Errcmp reports == and != comparisons against exported error sentinels
 // (package-level `var ErrX = errors.New(...)` values). Since the serving
 // layer started wrapping sentinels — ErrBadEvent carries the offending
-// field, ErrShed wraps the last ErrQueueFull — a direct identity
-// comparison silently stops matching the moment a path adds context with
-// fmt.Errorf("%w", ...). errors.Is unwraps; == does not. Comparisons
+// field — a direct identity comparison silently stops matching the
+// moment a path adds context with fmt.Errorf("%w", ...). errors.Is unwraps; == does not. Comparisons
 // with nil are fine (they test presence, not identity), and unlike most
 // analyzers in this suite, _test.go files are NOT exempt: tests that
 // pin behavior with `err == ErrX` are exactly the ones that break

@@ -63,8 +63,8 @@ func New() *Registry {
 }
 
 // SetClock installs the clock windowed instruments rotate on — the hook
-// that lets the serving engine's virtual clock (fault.ManualClock)
-// drive window rotation deterministically in tests. A nil c restores
+// that lets the serving engine's virtual clock (a ManualClock) drive
+// window rotation deterministically in tests. A nil c restores
 // the wall clock. Safe for concurrent use; a no-op on a nil registry.
 func (r *Registry) SetClock(c Clock) {
 	if r == nil {

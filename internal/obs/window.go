@@ -7,16 +7,6 @@ import (
 	"time"
 )
 
-// Clock is the time source windowed instruments rotate on. It matches
-// serve.Clock (fault.ManualClock implements both), so the serving
-// engine's virtual clock can drive window rotation deterministically in
-// tests: serve.New forwards its Options.Clock to the registry via
-// SetClock.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-}
-
 // Window sizing defaults, used when a windowed instrument is registered
 // with non-positive slot duration or slot count.
 const (

@@ -3,33 +3,18 @@ package obs_test
 import (
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// stepClock is a manual test clock satisfying obs.Clock: Now returns the
-// stored instant, Advance moves it. Atomic so observing goroutines can
-// race Advance safely.
-type stepClock struct{ ns atomic.Int64 }
-
-func newStepClock(at time.Time) *stepClock {
-	c := &stepClock{}
-	c.ns.Store(at.UnixNano())
-	return c
-}
-
-func (c *stepClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
-func (c *stepClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
-
 // base is a fixed, positive-epoch test instant aligned to a slot
 // boundary so advancing by whole slots lands exactly on new epochs.
 var base = time.Unix(1_700_000_000, 0)
 
 func TestWindowedCounterRotation(t *testing.T) {
-	clk := newStepClock(base)
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	w := reg.WindowedCounter("win", 10*time.Second, 6) // 1-minute ring
@@ -64,7 +49,7 @@ func TestWindowedCounterRotation(t *testing.T) {
 }
 
 func TestWindowedCounterCovered(t *testing.T) {
-	clk := newStepClock(base)
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	w := reg.WindowedCounter("win", 10*time.Second, 6)
@@ -86,7 +71,7 @@ func TestWindowedCounterCovered(t *testing.T) {
 }
 
 func TestWindowedHistogramMerge(t *testing.T) {
-	clk := newStepClock(base)
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	bounds := []float64{10, 100, 1000}
@@ -125,7 +110,7 @@ func TestWindowedHistogramMerge(t *testing.T) {
 
 func TestWindowedHistogramEmptyMerge(t *testing.T) {
 	reg := obs.New()
-	reg.SetClock(newStepClock(base))
+	reg.SetClock(obs.NewManualClock(base))
 	reg.WindowedHistogram("win", []float64{1, 2}, 10*time.Second, 6)
 	m := reg.Snapshot().Window("win").Merge(time.Minute)
 	if m.Count != 0 || m.Min != 0 || m.Max != 0 || m.Sum != 0 {
@@ -170,7 +155,7 @@ func TestWindowedKindMismatch(t *testing.T) {
 // that nothing tears and the final ring total never exceeds what was
 // added (boundary races may drop, never double).
 func TestWindowedConcurrentRotation(t *testing.T) {
-	clk := newStepClock(base)
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	w := reg.WindowedCounter("win", time.Millisecond, 8)
@@ -204,7 +189,7 @@ func TestWindowedEnabledPathZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting differs under -race")
 	}
 	reg := obs.New()
-	reg.SetClock(newStepClock(base))
+	reg.SetClock(obs.NewManualClock(base))
 	wc := reg.WindowedCounter("c", 0, 0)
 	wh := reg.WindowedHistogram("h", obs.LatencyBuckets(), 0, 0)
 	if n := testing.AllocsPerRun(200, func() { wc.Add(1) }); n != 0 {
@@ -265,7 +250,7 @@ func TestHistogramExemplar(t *testing.T) {
 // Snapshot with gauges, windows, and exemplars must survive a JSON
 // round trip structurally intact.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	clk := newStepClock(base)
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	reg.Counter("c").Inc()

@@ -122,7 +122,7 @@ func demo(seed int64) (*obs.Registry, *eager.Recognizer, *flight.Recorder, error
 		Set("demo-fault-degraded", 3, fault.KindPoison).
 		Set("demo-fault-panic", 3, fault.KindPanic)
 	script.Instrument(reg)
-	clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	e, err := serve.New(rec, serve.Options{
 		Shards:       minInt(4, runtime.GOMAXPROCS(0)),
 		QueueDepth:   64,
@@ -136,14 +136,13 @@ func demo(seed int64) (*obs.Registry, *eager.Recognizer, *flight.Recorder, error
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("obsdemo: %w", err)
 	}
-	sub := serve.NewSubmitter(e, serve.SubmitterOptions{Obs: reg})
 
 	gen := synth.NewGenerator(synth.DefaultParams(seed + 1))
 	classes := synth.GDPClasses()
 	const sessions = 24
 	for i := 0; i < sessions; i++ {
 		s := gen.Sample(classes[i%len(classes)])
-		if err := play(sub, fmt.Sprintf("demo-%03d", i), s.G.Points, true); err != nil {
+		if err := play(e, fmt.Sprintf("demo-%03d", i), s.G.Points, true); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -161,7 +160,7 @@ func demo(seed int64) (*obs.Registry, *eager.Recognizer, *flight.Recorder, error
 	if n := rec.Opts.MinSubgesture - 1; len(short) > n {
 		short = short[:n]
 	}
-	if err := play(sub, "demo-short", short, true); err != nil {
+	if err := play(e, "demo-short", short, true); err != nil {
 		return nil, nil, nil, err
 	}
 
@@ -171,15 +170,15 @@ func demo(seed int64) (*obs.Registry, *eager.Recognizer, *flight.Recorder, error
 	// and one stalled session the idle reaper collects after the virtual
 	// clock jumps past the deadline.
 	s = gen.Sample(classes[2])
-	if err := play(sub, "demo-fault-degraded", s.G.Points, true); err != nil {
+	if err := play(e, "demo-fault-degraded", s.G.Points, true); err != nil {
 		return nil, nil, nil, err
 	}
 	s = gen.Sample(classes[3])
-	if err := play(sub, "demo-fault-panic", s.G.Points, true); err != nil {
+	if err := play(e, "demo-fault-panic", s.G.Points, true); err != nil {
 		return nil, nil, nil, err
 	}
 	s = gen.Sample(classes[4])
-	if err := play(sub, "demo-fault-stall", s.G.Points, false); err != nil {
+	if err := play(e, "demo-fault-stall", s.G.Points, false); err != nil {
 		return nil, nil, nil, err
 	}
 	if err := e.Flush(); err != nil {
@@ -211,7 +210,7 @@ func demo(seed int64) (*obs.Registry, *eager.Recognizer, *flight.Recorder, error
 
 	// One session left open (no FingerUp) so Close drains it.
 	s = gen.Sample(classes[0])
-	if err := play(sub, "demo-open", s.G.Points, false); err != nil {
+	if err := play(e, "demo-open", s.G.Points, false); err != nil {
 		return nil, nil, nil, err
 	}
 	if err := e.Close(); err != nil {
@@ -279,11 +278,10 @@ func templateSegment(reg *obs.Registry, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("obsdemo: template: %w", err)
 	}
-	sub := serve.NewSubmitter(e, serve.SubmitterOptions{Obs: reg})
 	gen := synth.NewGenerator(synth.DefaultParams(seed + 3))
 	for i := 0; i < len(classes); i++ {
 		s := gen.Sample(classes[i%len(classes)])
-		if err := play(sub, fmt.Sprintf("demo-tmpl-%03d", i), s.G.Points, true); err != nil {
+		if err := play(e, fmt.Sprintf("demo-tmpl-%03d", i), s.G.Points, true); err != nil {
 			return err
 		}
 	}
@@ -466,7 +464,7 @@ func robustnessSegment(reg *obs.Registry, rec *eager.Recognizer) error {
 	// observation at Sustain 1 and a pinned full shed fraction — straight
 	// into brownout, so the engine behind the wire listener sheds the one
 	// event a client offers.
-	clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	adm, err := serve.NewAdmission(serve.AdmitOptions{
 		Target:  time.Millisecond,
 		Sustain: 1,
@@ -486,7 +484,7 @@ func robustnessSegment(reg *obs.Registry, rec *eager.Recognizer) error {
 	if err != nil {
 		return fail(err)
 	}
-	iclk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	iclk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail(err)
@@ -560,17 +558,17 @@ func robustnessSegment(reg *obs.Registry, rec *eager.Recognizer) error {
 	return nil
 }
 
-// play streams one single-finger interaction through the submitter
-// (which absorbs backpressure with unlimited retries). finish controls
+// play streams one single-finger interaction through SubmitWait (which
+// waits out a full queue). finish controls
 // whether the FingerUp is sent (false leaves the session in flight for
 // Close to drain or the reaper to collect).
-func play(sub *serve.Submitter, id string, g geom.Path, finish bool) error {
+func play(e *serve.Engine, id string, g geom.Path, finish bool) error {
 	for i, p := range g {
 		kind := multipath.FingerMove
 		if i == 0 {
 			kind = multipath.FingerDown
 		}
-		if err := sub.Submit(serve.Event{Session: id, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
+		if err := e.SubmitWait(serve.Event{Session: id, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
 			return fmt.Errorf("obsdemo: submit: %w", err)
 		}
 	}
@@ -578,7 +576,7 @@ func play(sub *serve.Submitter, id string, g geom.Path, finish bool) error {
 		return nil
 	}
 	last := g[len(g)-1]
-	if err := sub.Submit(serve.Event{Session: id, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
+	if err := e.SubmitWait(serve.Event{Session: id, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
 		return fmt.Errorf("obsdemo: submit: %w", err)
 	}
 	return nil

@@ -54,14 +54,11 @@ func TestRunPopulatesEveryMetricFamily(t *testing.T) {
 // TestRunDeterministicStructure runs the demo twice with one seed and
 // checks the snapshots agree on everything the contract pins down:
 // metric names, bucket boundaries, and every count-valued metric.
-// (Latency histogram sums differ run over run, so strip them; so do
-// serve.events.rejected and serve.submitter.retries, which count
-// timing-dependent backpressure that the Submitter absorbed.)
+// (Latency histogram sums differ run over run, so strip them. Every
+// counter is compared: SubmitWait waits out a full queue without
+// counting it, so serve.events.rejected counts only the scripted
+// admission shed.)
 func TestRunDeterministicStructure(t *testing.T) {
-	nondeterministic := map[string]bool{
-		"serve.events.rejected":   true,
-		"serve.submitter.retries": true,
-	}
 	strip := func(t *testing.T, seed int64) string {
 		t.Helper()
 		reg, err := Run(seed)
@@ -69,12 +66,6 @@ func TestRunDeterministicStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
-		counters := snap.Counters[:0:0]
-		for _, c := range snap.Counters {
-			if !nondeterministic[c.Name] {
-				counters = append(counters, c)
-			}
-		}
 		type hist struct {
 			Name   string
 			Count  int64
@@ -85,7 +76,7 @@ func TestRunDeterministicStructure(t *testing.T) {
 			Counters any
 			Hists    []hist
 			Traces   []string
-		}{Schema: snap.Schema, Counters: counters}
+		}{Schema: snap.Schema, Counters: snap.Counters}
 		for _, h := range snap.Histograms {
 			doc.Hists = append(doc.Hists, hist{Name: h.Name, Count: h.Count, Bounds: h.Bounds})
 		}

@@ -61,7 +61,7 @@ type AdmitOptions struct {
 	RetryAfter time.Duration
 	// Clock is the evaluation time source; nil means the engine's
 	// clock (wall time unless Options.Clock injects a virtual one).
-	Clock Clock
+	Clock obs.Clock
 	// Obs, when set, receives the serve.admit.* metrics (see
 	// OBSERVABILITY.md); nil leaves the controller unpublished but
 	// fully functional.
@@ -89,7 +89,7 @@ func (o AdmitOptions) admitDefaults() AdmitOptions {
 		o.RetryAfter = 50 * time.Millisecond
 	}
 	if o.Clock == nil {
-		o.Clock = wallClock{}
+		o.Clock = obs.WallClock{}
 	}
 	return o
 }
@@ -112,7 +112,7 @@ type Admission struct {
 	shedMin    int64 // permille
 	shedMax    int64 // permille
 	retryAfter time.Duration
-	clock      Clock
+	clock      obs.Clock
 
 	// wait is the trailing queue-wait distribution, kept in priv — a
 	// private registry, so the public metric namespace only carries the

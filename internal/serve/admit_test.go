@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/multipath"
 	"repro/internal/obs"
 )
@@ -36,9 +35,9 @@ func admitGauge(t *testing.T, reg *obs.Registry, name string) float64 {
 
 // admitFixture builds an Admission on a manual clock with a tight,
 // fully specified configuration so the state machine steps are exact.
-func admitFixture(t *testing.T, opts AdmitOptions) (*Admission, *fault.ManualClock) {
+func admitFixture(t *testing.T, opts AdmitOptions) (*Admission, *obs.ManualClock) {
 	t.Helper()
-	clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	opts.Clock = clk
 	a, err := NewAdmission(opts)
 	if err != nil {
@@ -264,8 +263,8 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 
 // TestEngineAdmissionGate pins the engine integration: a pre-driven
 // controller at full shed makes Submit return ErrOverloaded without
-// queueing, the Submitter passes it through without retrying, and the
-// event counts into Stats.Rejected exactly once.
+// queueing, SubmitWait returns it at once instead of waiting, and each
+// refusal counts into Stats.Rejected exactly once.
 func TestEngineAdmissionGate(t *testing.T) {
 	reg := obs.New()
 	a, _ := admitFixture(t, AdmitOptions{
@@ -287,8 +286,8 @@ func TestEngineAdmissionGate(t *testing.T) {
 	if err := e.Submit(ev); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Submit under full shed = %v, want ErrOverloaded", err)
 	}
-	if err := NewSubmitter(e, SubmitterOptions{}).Submit(ev); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Submitter.Submit under full shed = %v, want ErrOverloaded (no retry loop)", err)
+	if err := e.SubmitWait(ev); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("SubmitWait under full shed = %v, want ErrOverloaded (no wait loop)", err)
 	}
 	st := e.Stats()
 	if st.Rejected != 2 {

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/eager"
-	"repro/internal/fault"
 	"repro/internal/multipath"
+	"repro/internal/obs"
 )
 
 // The Fault* benchmarks back BENCH_fault.json in CI: the cost of the
@@ -26,7 +26,7 @@ func BenchmarkFaultValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultSubmitStray measures Submit end-to-end on a live engine
+// BenchmarkFaultSubmitStray measures SubmitWait end-to-end on a live engine
 // — validation, timestamp high-water tracking, and the shard handoff —
 // using stray moves the shard drops cheaply, so the classifier stays
 // out of the measurement.
@@ -37,11 +37,10 @@ func BenchmarkFaultSubmitStray(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	s := NewSubmitter(e, SubmitterOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchErrSink = s.Submit(Event{Session: "stray", Finger: 0, Kind: multipath.FingerMove, X: 1, Y: 2, T: float64(i)})
+		benchErrSink = e.SubmitWait(Event{Session: "stray", Finger: 0, Kind: multipath.FingerMove, X: 1, Y: 2, T: float64(i)})
 	}
 }
 
@@ -50,7 +49,7 @@ func BenchmarkFaultSubmitStray(b *testing.B) {
 // reaper when nothing needs collecting.
 func BenchmarkFaultReapNoop(b *testing.B) {
 	rec := benchRec(b)
-	clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	e, err := New(rec, Options{Shards: 1, IdleTimeout: time.Second, ReapInterval: -1, Clock: clk})
 	if err != nil {
 		b.Fatal(err)

@@ -50,15 +50,15 @@ func (ct *chaosTally) merge(kinds map[fault.Kind]int64, bad int64) {
 	ct.bad += bad
 }
 
-// chaosProducer plays one session's gesture through the submitter,
+// chaosProducer plays one session's gesture through SubmitWait,
 // applying the schedule's producer-side fates event by event. It
 // returns whether the FingerDown was accepted (the session started)
 // and what it observed.
-func chaosProducer(t *testing.T, s *Submitter, sched *fault.Schedule, id string, events []Event) (started bool, kinds map[fault.Kind]int64, bad int64) {
+func chaosProducer(t *testing.T, e *Engine, sched *fault.Schedule, id string, events []Event) (started bool, kinds map[fault.Kind]int64, bad int64) {
 	t.Helper()
 	kinds = make(map[fault.Kind]int64)
 	submit := func(ev Event, wantBad bool) error {
-		err := s.Submit(ev)
+		err := e.SubmitWait(ev)
 		switch {
 		case err == nil:
 			if wantBad {
@@ -176,7 +176,7 @@ func runChaosSchedules(t *testing.T, rec recognizer.Backend) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			reg := obs.New()
-			clk := fault.NewManualClock(time.Unix(1_700_000_000, 0))
+			clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 			sched, err := fault.NewSchedule(fault.Plan{Seed: seed, Rates: chaosRates()})
 			if err != nil {
 				t.Fatal(err)
@@ -208,11 +208,10 @@ func runChaosSchedules(t *testing.T, rec recognizer.Backend) {
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
-					s := NewSubmitter(e, SubmitterOptions{})
 					for i := 0; i < perProducer; i++ {
 						id := fmt.Sprintf("c%d-p%d-s%d", seed, p, i)
 						events, _ := sessionEvents(id, seed*1000+int64(p*100+i), i%2)
-						ok, kinds, bad := chaosProducer(t, s, sched, id, events)
+						ok, kinds, bad := chaosProducer(t, e, sched, id, events)
 						tally.merge(kinds, bad)
 						mu.Lock()
 						started[id] = ok
@@ -396,16 +395,15 @@ func runChaosIsolation(t *testing.T, rec recognizer.Backend, k fault.Kind, want 
 	vEvents, _ := sessionEvents("victim", 41, 0)
 	bEvents, _ := sessionEvents("bystander", 42, 1)
 	bWant := refClass(rec, bEvents)
-	s := NewSubmitter(e, SubmitterOptions{})
 	// Interleave the two sessions event by event on the single shard.
 	for i := 0; i < len(vEvents) || i < len(bEvents); i++ {
 		if i < len(vEvents) {
-			if err := s.Submit(vEvents[i]); err != nil {
+			if err := e.SubmitWait(vEvents[i]); err != nil {
 				t.Fatalf("victim event %d: %v", i, err)
 			}
 		}
 		if i < len(bEvents) {
-			if err := s.Submit(bEvents[i]); err != nil {
+			if err := e.SubmitWait(bEvents[i]); err != nil {
 				t.Fatalf("bystander event %d: %v", i, err)
 			}
 		}
@@ -414,7 +412,7 @@ func runChaosIsolation(t *testing.T, rec recognizer.Backend, k fault.Kind, want 
 	aEvents, _ := sessionEvents("after", 43, 0)
 	aWant := refClass(rec, aEvents)
 	for _, ev := range aEvents {
-		if err := s.Submit(ev); err != nil {
+		if err := e.SubmitWait(ev); err != nil {
 			t.Fatalf("after event: %v", err)
 		}
 	}

@@ -79,8 +79,8 @@ func TestHammerSwapUnderLoad(t *testing.T) {
 // TestHammerCloseConcurrentWithSubmit races Close against a crowd of
 // submitting producers. The invariants: every session whose FingerDown
 // was accepted gets exactly one Result (completed or drained), sessions
-// whose FingerDown was refused get none, refusals are ErrClosed or shed
-// backpressure, and Submit after Close always reports ErrClosed.
+// whose FingerDown was refused get none, the only refusal SubmitWait
+// returns is ErrClosed, and Submit after Close always reports ErrClosed.
 func TestHammerCloseConcurrentWithSubmit(t *testing.T) {
 	rec := trainRec(t, 7)
 	sink := newSink()
@@ -98,7 +98,6 @@ func TestHammerCloseConcurrentWithSubmit(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			s := NewSubmitter(e, SubmitterOptions{MaxAttempts: 50})
 			for i := 0; i < perProducer; i++ {
 				id := fmt.Sprintf("close-%d-%d", p, i)
 				g, _ := sampleGesture(int64(2000+p*100+i), i%2)
@@ -108,9 +107,9 @@ func TestHammerCloseConcurrentWithSubmit(t *testing.T) {
 					if j == 0 {
 						kind = multipath.FingerDown
 					}
-					err := s.Submit(Event{Session: id, Finger: 0, Kind: kind, X: pt.X, Y: pt.Y, T: pt.T})
+					err := e.SubmitWait(Event{Session: id, Finger: 0, Kind: kind, X: pt.X, Y: pt.Y, T: pt.T})
 					if err != nil {
-						if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrShed) {
+						if !errors.Is(err, ErrClosed) {
 							t.Errorf("session %s: unexpected submit error %v", id, err)
 						}
 						ok = j > 0 // the FingerDown (j == 0) was accepted iff j > 0 here
@@ -119,8 +118,8 @@ func TestHammerCloseConcurrentWithSubmit(t *testing.T) {
 				}
 				{
 					last := g[len(g)-1]
-					err := s.Submit(Event{Session: id, Finger: 0, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01})
-					if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrShed) {
+					err := e.SubmitWait(Event{Session: id, Finger: 0, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01})
+					if err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("session %s: unexpected up error %v", id, err)
 					}
 				}

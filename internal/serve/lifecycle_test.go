@@ -40,7 +40,7 @@ func TestLastTClearedOnEveryOutcome(t *testing.T) {
 	script := fault.NewScript().
 		Set("deg", 3, fault.KindPoison).
 		Set("pan", 1, fault.KindPanic)
-	clock := fault.NewManualClock(time.Unix(0, 0))
+	clock := obs.NewManualClock(time.Unix(0, 0))
 	results := make(chan Result, 16)
 	e, err := New(rec, Options{
 		Shards:       2,
@@ -162,46 +162,33 @@ func TestLastTClearedForStrayEvents(t *testing.T) {
 	}
 }
 
-// TestRejectedCountsOncePerShed: when the Submitter retries then sheds,
-// Stats.Rejected (and serve.events.rejected) counts the refused event
-// exactly once — not once per retry attempt. Deterministic via the
-// wedged engine and the Submitter's sleep seam (no real sleeping).
+// TestRejectedCountsOncePerShed: when the admission controller sheds
+// an event in brownout, SubmitWait returns ErrOverloaded at once and
+// Stats.Rejected (and serve.events.rejected) counts it exactly once.
 func TestRejectedCountsOncePerShed(t *testing.T) {
 	reg := obs.New()
-	e, release := wedgedEngine(t, reg)
-	defer func() {
-		close(release)
-		if err := e.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	base := e.Stats().Rejected // wedging spins direct Submits, which do count
-
-	s := NewSubmitter(e, SubmitterOptions{MaxAttempts: 4, Backoff: time.Millisecond, Obs: reg})
-	var slept int
-	s.opts.sleep = func(time.Duration) { slept++ }
-	err := s.Submit(Event{Session: "shed-once", Kind: multipath.FingerDown, X: 1, Y: 1, T: 0})
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("Submit = %v, want ErrShed", err)
+	a, _ := admitFixture(t, AdmitOptions{Target: time.Millisecond, Sustain: 1, ShedMin: 1, ShedMax: 1})
+	a.Observe(time.Second) // brownout at 1000 permille: shed everything
+	e, err := New(trainRec(t, 7), Options{Shards: 1, Admission: a, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if slept != 3 {
-		t.Fatalf("slept %d times, want 3 (4 attempts)", slept)
+	defer e.Close()
+	err = e.SubmitWait(Event{Session: "shed-once", Kind: multipath.FingerDown, X: 1, Y: 1, T: 0})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("SubmitWait = %v, want ErrOverloaded", err)
 	}
-	if got := e.Stats().Rejected - base; got != 1 {
-		t.Errorf("Stats.Rejected grew by %d for one shed event, want 1", got)
+	if got := e.Stats().Rejected; got != 1 {
+		t.Errorf("Stats.Rejected = %d for one shed event, want 1", got)
 	}
-	snap := reg.Snapshot()
-	if got := snapCounter(t, snap, "serve.events.rejected"); got != base+1 {
-		t.Errorf("serve.events.rejected = %d, want %d (exactly once per shed)", got, base+1)
-	}
-	if got := snapCounter(t, snap, "serve.submitter.retries"); got != 3 {
-		t.Errorf("serve.submitter.retries = %d, want 3", got)
+	if got := snapCounter(t, reg.Snapshot(), "serve.events.rejected"); got != 1 {
+		t.Errorf("serve.events.rejected = %d, want 1 (exactly once per shed)", got)
 	}
 }
 
-// TestRejectedNotCountedOnRetrySuccess: an event that bounces off a
-// full queue but is eventually accepted was never terminally refused —
-// Stats.Rejected must not move.
+// TestRejectedNotCountedOnRetrySuccess: SubmitWait waits out a wedged
+// consumer and delivers. The event bounced off a full queue but was
+// never terminally refused, so Stats.Rejected must not move.
 func TestRejectedNotCountedOnRetrySuccess(t *testing.T) {
 	e, release := wedgedEngine(t, nil)
 	defer func() {
@@ -211,15 +198,14 @@ func TestRejectedNotCountedOnRetrySuccess(t *testing.T) {
 	}()
 	base := e.Stats().Rejected
 
-	s := NewSubmitter(e, SubmitterOptions{})
 	done := make(chan error, 1)
 	go func() {
-		done <- s.Submit(Event{Session: "patient", Kind: multipath.FingerDown, X: 1, Y: 1, T: 0})
+		done <- e.SubmitWait(Event{Session: "patient", Kind: multipath.FingerDown, X: 1, Y: 1, T: 0})
 	}()
 	time.Sleep(2 * time.Millisecond) // let it bounce a few times
 	close(release)
 	if err := <-done; err != nil {
-		t.Fatalf("unlimited-retry Submit = %v, want nil", err)
+		t.Fatalf("SubmitWait = %v, want nil", err)
 	}
 	if got := e.Stats().Rejected - base; got != 0 {
 		t.Errorf("Stats.Rejected grew by %d for an eventually-accepted event, want 0", got)

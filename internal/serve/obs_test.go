@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/multipath"
 	"repro/internal/obs"
 )
@@ -158,5 +161,143 @@ func TestEngineUninstrumented(t *testing.T) {
 	}
 	if got, ok := sink.get("only"); !ok || got != want {
 		t.Fatalf("session class = %q (ok=%v), want %q", got, ok, want)
+	}
+}
+
+// statsMixedRun drives one engine through every outcome Stats counts —
+// an admission shed, a bad event, a full queue, completed, degraded,
+// panicked and reaped sessions, and one session left open — and returns
+// Stats with the session still open and again after Close drains it.
+// reg may be nil: Stats must count without observability.
+func statsMixedRun(t *testing.T, reg *obs.Registry) (open, closed Stats) {
+	t.Helper()
+	g, _ := sampleGesture(7, 0)
+	a, clk := admitFixture(t, AdmitOptions{Target: time.Millisecond, Sustain: 1, ShedMin: 1, ShedMax: 1})
+	a.Observe(time.Second) // brownout at 1000 permille: shed everything
+	results := make(chan Result, 16)
+	release := make(chan struct{})
+	e, err := New(trainRec(t, 7), Options{
+		Shards:     1,
+		QueueDepth: 1,
+		Obs:        reg,
+		Admission:  a,
+		Clock:      clk,
+		Fault:      fault.NewScript().Set("deg", 3, fault.KindPoison).Set("pan", 1, fault.KindPanic),
+		OnResult: func(r Result) {
+			results <- r
+			if r.Session == "wedge" {
+				<-release
+			}
+		},
+		IdleTimeout:  time.Second,
+		ReapInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitResult := func(id string) {
+		t.Helper()
+		select {
+		case r := <-results:
+			if r.Session != id {
+				t.Fatalf("result for %s, want %s", r.Session, id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no result for %s", id)
+		}
+	}
+
+	down := func(id string, ts float64) Event {
+		return Event{Session: id, Kind: multipath.FingerDown, X: 1, Y: 1, T: ts}
+	}
+	if err := e.Submit(down("shed", 0)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Submit in brownout = %v, want ErrOverloaded", err)
+	}
+	clk.Advance(time.Second) // quiet intervals end the brownout
+	if got := a.State(); got != AdmitHealthy {
+		t.Fatalf("admission state after recovery = %v, want healthy", got)
+	}
+	if err := e.Submit(Event{Kind: multipath.FingerDown}); !errors.Is(err, ErrBadEvent) {
+		t.Fatalf("Submit with no session = %v, want ErrBadEvent", err)
+	}
+	for _, id := range []string{"com", "deg", "pan"} {
+		playSession(t, e, id, g)
+		waitResult(id)
+	}
+	submitRetry(t, e, down("rea", 0))
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second)
+	if n, err := e.Reap(); err != nil || n != 1 {
+		t.Fatalf("Reap = %d, %v, want 1, nil", n, err)
+	}
+	waitResult("rea")
+
+	// Wedge the shard in OnResult, fill its one queue slot with the
+	// session left open, and the next Submit finds the queue full.
+	playSession(t, e, "wedge", g[:2])
+	waitResult("wedge")
+	submitRetry(t, e, down("open", 0))
+	if err := e.Submit(down("full", 0)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit to a wedged shard = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	open = e.Stats()
+	if reg != nil {
+		assertStatsMirrorRegistry(t, open, reg.Snapshot())
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed = e.Stats()
+	if reg != nil {
+		assertStatsMirrorRegistry(t, closed, reg.Snapshot())
+	}
+	return open, closed
+}
+
+// assertStatsMirrorRegistry checks every Stats field against the serve.*
+// counter it is read from.
+func assertStatsMirrorRegistry(t *testing.T, st Stats, snap obs.Snapshot) {
+	t.Helper()
+	for name, got := range map[string]int64{
+		"serve.events.submitted":   st.Submitted,
+		"serve.events.rejected":    st.Rejected,
+		"serve.events.bad":         st.Bad,
+		"serve.sessions.completed": st.Completed,
+		"serve.sessions.reaped":    st.Reaped,
+		"serve.sessions.panicked":  st.Panicked,
+		"serve.sessions.degraded":  st.Degraded,
+	} {
+		if want := snapCounter(t, snap, name); got != want {
+			t.Errorf("Stats field for %s = %d, registry has %d", name, got, want)
+		}
+	}
+	active := snapCounter(t, snap, "serve.sessions.opened") - snapCounter(t, snap, "serve.sessions.completed")
+	if st.Active != active {
+		t.Errorf("Stats.Active = %d, registry opened-completed = %d", st.Active, active)
+	}
+}
+
+// TestStatsMirrorsObsCounters: Stats is read from the serve.* counters,
+// so after a mixed run it equals the registry, and an engine without a
+// registry counts exactly the same.
+func TestStatsMirrorsObsCounters(t *testing.T) {
+	open, closed := statsMixedRun(t, obs.New())
+	want := Stats{Submitted: open.Submitted, Rejected: 2, Bad: 1, Completed: 5, Active: 1, Reaped: 1, Panicked: 1, Degraded: 1}
+	if open != want {
+		t.Errorf("Stats with a session open = %+v, want %+v", open, want)
+	}
+	want.Completed, want.Active = 6, 0
+	if closed != want {
+		t.Errorf("Stats after Close = %+v, want %+v", closed, want)
+	}
+	darkOpen, darkClosed := statsMixedRun(t, nil)
+	if darkOpen != open || darkClosed != closed {
+		t.Errorf("Stats without obs = %+v then %+v, want %+v then %+v", darkOpen, darkClosed, open, closed)
 	}
 }

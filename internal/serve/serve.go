@@ -24,10 +24,11 @@
 //     goroutine in submission order, so the single-goroutine session
 //     types are used unchanged, with no per-session locking.
 //
-//   - Backpressure. Submit never blocks and never drops silently: when a
-//     shard's queue is full it returns ErrQueueFull and counts the
-//     rejection, and the caller decides (shed, retry, spill). Submitter
-//     packages the standard bounded-retry/backoff/shed policy.
+//   - Backpressure. Nothing is dropped silently. Submit never blocks:
+//     when a shard's queue is full it returns ErrQueueFull and counts
+//     the rejection. SubmitWait instead waits for queue space, so a slow
+//     shard stalls its producer. The admission controller (Options.Admit)
+//     is the one overload signal: it refuses early with ErrOverloaded.
 //
 //   - Hostile input stops at the door. Submit validates every event —
 //     non-finite coordinates, negative or regressing timestamps, empty
@@ -164,18 +165,6 @@ type Result struct {
 	Outcome Outcome
 }
 
-// Clock abstracts the engine's time source so deadline behavior is
-// testable with a virtual clock (fault.ManualClock implements it). The
-// zero Options use the wall clock.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-}
-
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
 // Injector is the engine-side fault-injection hook (fault.Schedule and
 // fault.Script implement it). When Options.Fault is set, the engine
 // consults Dispatch once per dispatched event — from the shard
@@ -214,8 +203,8 @@ type Options struct {
 	// IdleTimeout is 0.
 	ReapInterval time.Duration
 	// Clock is the deadline time source; nil means the wall clock. Tests
-	// inject fault.ManualClock.
-	Clock Clock `json:"-"`
+	// inject obs.ManualClock.
+	Clock obs.Clock `json:"-"`
 	// Fault, when set, is consulted once per dispatched event and may
 	// corrupt coordinates or force a panic — the chaos hook (see
 	// internal/fault). Nil (production) costs one nil check per event.
@@ -256,8 +245,10 @@ type Options struct {
 	Admission *Admission `json:"-"`
 }
 
-// engineMetrics holds the engine's obs handles. The zero value (all nil)
-// is the uninstrumented state; see OBSERVABILITY.md for the contract.
+// engineMetrics holds the engine's obs handles; see OBSERVABILITY.md
+// for the contract. The counters are never nil — they back Stats even
+// when observability is off. The other instruments are nil (no-ops)
+// without a registry.
 type engineMetrics struct {
 	submitted     *obs.Counter    // serve.events.submitted
 	rejected      *obs.Counter    // serve.events.rejected
@@ -285,23 +276,29 @@ type engineMetrics struct {
 	e2eWin       *obs.WindowedHistogram // window.wire.e2e_ns
 }
 
+// newEngineMetrics registers the engine's instruments in reg. With a nil
+// reg every accessor returns nil, so only the counters need a stand-in:
+// a private obs.Counter each.
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
-	if reg == nil {
-		return engineMetrics{}
+	counter := func(name string) *obs.Counter {
+		if c := reg.Counter(name); c != nil {
+			return c
+		}
+		return new(obs.Counter)
 	}
 	return engineMetrics{
-		submitted:     reg.Counter("serve.events.submitted"),
-		rejected:      reg.Counter("serve.events.rejected"),
-		bad:           reg.Counter("serve.events.bad"),
-		quarantined:   reg.Counter("serve.events.quarantined"),
-		opened:        reg.Counter("serve.sessions.opened"),
-		completed:     reg.Counter("serve.sessions.completed"),
-		drained:       reg.Counter("serve.sessions.drained"),
-		reaped:        reg.Counter("serve.sessions.reaped"),
-		panicked:      reg.Counter("serve.sessions.panicked"),
-		degraded:      reg.Counter("serve.sessions.degraded"),
-		swaps:         reg.Counter("serve.swaps"),
-		swapsRejected: reg.Counter("serve.swaps_rejected"),
+		submitted:     counter("serve.events.submitted"),
+		rejected:      counter("serve.events.rejected"),
+		bad:           counter("serve.events.bad"),
+		quarantined:   counter("serve.events.quarantined"),
+		opened:        counter("serve.sessions.opened"),
+		completed:     counter("serve.sessions.completed"),
+		drained:       counter("serve.sessions.drained"),
+		reaped:        counter("serve.sessions.reaped"),
+		panicked:      counter("serve.sessions.panicked"),
+		degraded:      counter("serve.sessions.degraded"),
+		swaps:         counter("serve.swaps"),
+		swapsRejected: counter("serve.swaps_rejected"),
 		queueDepth:    reg.Histogram("serve.queue.depth", obs.DepthBuckets()),
 		queueWaitNS:   reg.Histogram("serve.queue.wait_ns", obs.LatencyBuckets()),
 		sessionNS:     reg.Histogram("serve.session.latency_ns", obs.LatencyBuckets()),
@@ -314,10 +311,12 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	}
 }
 
-// Stats is a snapshot of the engine's counters.
+// Stats is a snapshot of the engine's serve.* counters. Engines that
+// share one obs.Registry share these counters, so each one's Stats then
+// reports the sum over all of them.
 type Stats struct {
 	Submitted int64 // events accepted into a queue
-	Rejected  int64 // events terminally refused for backpressure: direct Submit ErrQueueFull, or one per Submitter shed (not per retry)
+	Rejected  int64 // events terminally refused: Submit's ErrQueueFull, or ErrOverloaded from either entry point
 	Bad       int64 // events refused with ErrBadEvent
 	Completed int64 // sessions finished (any outcome)
 	Active    int64 // sessions currently in flight
@@ -337,20 +336,11 @@ type Engine struct {
 	mu     sync.RWMutex // guards closed vs. concurrent Submit/Close
 	closed bool
 
-	clock     Clock
+	clock     obs.Clock
 	deadlines bool          // IdleTimeout > 0
 	stop      chan struct{} // closed at Close to stop the background reaper
 	reaperOn  bool
 	reapWG    sync.WaitGroup
-
-	submitted atomic.Int64
-	rejected  atomic.Int64
-	bad       atomic.Int64
-	completed atomic.Int64
-	active    atomic.Int64
-	reaped    atomic.Int64
-	panicked  atomic.Int64
-	degraded  atomic.Int64
 
 	m engineMetrics
 	// stamp records whether Submit must read the clock: true when any of
@@ -477,7 +467,7 @@ func New(backend recognizer.Backend, opts Options) (*Engine, error) {
 	e := &Engine{opts: opts, m: newEngineMetrics(opts.Obs), startNS: time.Now().UnixNano()}
 	e.clock = opts.Clock
 	if e.clock == nil {
-		e.clock = wallClock{}
+		e.clock = obs.WallClock{}
 	}
 	e.admission = opts.Admission
 	if e.admission == nil && opts.Admit != nil {
@@ -597,10 +587,10 @@ func validate(ev Event) error {
 // invalid event returns ErrBadEvent (non-finite coordinates, bad or
 // regressing timestamp, empty session ID — checked before anything can
 // reach feature extraction), a full shard queue returns ErrQueueFull
-// (the event is not enqueued), a closed engine returns ErrClosed. Match
-// all three with errors.Is. Events for one session are processed in
-// submission order as long as the caller submits them from one
-// goroutine.
+// (the event is not enqueued), an admission-control shed returns
+// ErrOverloaded, a closed engine returns ErrClosed. Match all four with
+// errors.Is. Events for one session are processed in submission order
+// as long as the caller submits them from one goroutine.
 //
 // Submit is the intake half of the zero-allocation decide path: with
 // observability and flight capture disabled it must not allocate per
@@ -609,18 +599,39 @@ func validate(ev Event) error {
 //
 //glint:hotpath
 func (e *Engine) Submit(ev Event) error {
-	return e.submit(ev, true)
+	err := e.submit(ev)
+	if err != nil && errors.Is(err, ErrQueueFull) {
+		e.m.rejected.Inc()
+	}
+	return err
 }
 
-// submit is Submit with the rejected-event accounting made optional:
-// retrying callers (Submitter) pass countRejected=false so a refused
-// event increments serve.events.rejected exactly once — at terminal
-// refusal — rather than once per retry attempt.
+// SubmitWait is Submit that waits for queue space instead of returning
+// ErrQueueFull: it retries, yielding the processor between attempts, so
+// a slow shard stalls the producer (and, over the wire, TCP pushes back
+// on the client). No lock is held while it yields, so Close is never
+// blocked by a waiting producer; the wait ends with ErrClosed. Every
+// other refusal — ErrBadEvent, ErrOverloaded, ErrClosed — returns at
+// once. A full queue that is waited out is never counted as rejected.
 //
 //glint:hotpath
-func (e *Engine) submit(ev Event, countRejected bool) error {
+func (e *Engine) SubmitWait(ev Event) error {
+	for {
+		err := e.submit(ev)
+		if err == nil || !errors.Is(err, ErrQueueFull) {
+			return err
+		}
+		runtime.Gosched()
+	}
+}
+
+// submit is the shared intake of Submit and SubmitWait. It counts every
+// outcome except a full queue, which only the caller knows to be
+// terminal or not.
+//
+//glint:hotpath
+func (e *Engine) submit(ev Event) error {
 	if err := validate(ev); err != nil {
-		e.bad.Add(1)
 		e.m.bad.Inc()
 		return err
 	}
@@ -630,10 +641,7 @@ func (e *Engine) submit(ev Event, countRejected bool) error {
 		return ErrClosed
 	}
 	if e.admission != nil && !e.admission.Admit() {
-		if countRejected {
-			e.rejected.Add(1)
-			e.m.rejected.Inc()
-		}
+		e.m.rejected.Inc()
 		return ErrOverloaded
 	}
 	sh := e.shardFor(ev.Session)
@@ -644,7 +652,6 @@ func (e *Engine) submit(ev Event, countRejected bool) error {
 	sh.vmu.Lock()
 	if last, ok := sh.lastT[ev.Session]; ok && ev.T < last {
 		sh.vmu.Unlock()
-		e.bad.Add(1)
 		e.m.bad.Inc()
 		return fmt.Errorf("%w: timestamp %v regresses below %v for session %s", ErrBadEvent, ev.T, last, ev.Session)
 	}
@@ -652,27 +659,14 @@ func (e *Engine) submit(ev Event, countRejected bool) error {
 	case sh.ch <- queued{ev: ev, at: at}:
 		sh.lastT[ev.Session] = ev.T
 		sh.vmu.Unlock()
-		e.submitted.Add(1)
 		e.m.submitted.Inc()
 		e.m.submittedWin.Inc()
 		e.m.queueDepth.Observe(float64(len(sh.ch)))
 		return nil
 	default:
 		sh.vmu.Unlock()
-		if countRejected {
-			e.rejected.Add(1)
-			e.m.rejected.Inc()
-		}
 		return ErrQueueFull
 	}
-}
-
-// countRejected records one terminally refused event in Stats.Rejected
-// and serve.events.rejected. The Submitter calls it once when it sheds,
-// pairing with submit(ev, false) so retries don't inflate the counter.
-func (e *Engine) countRejected() {
-	e.rejected.Add(1)
-	e.m.rejected.Inc()
 }
 
 // Closed reports whether Close has begun: a closed engine refuses every
@@ -786,17 +780,20 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats returns a snapshot of the engine's counters. Completed is read
+// before opened: a session is opened before it completes, so Active is
+// never negative even while sessions finish concurrently.
 func (e *Engine) Stats() Stats {
+	completed := e.m.completed.Value()
 	return Stats{
-		Submitted: e.submitted.Load(),
-		Rejected:  e.rejected.Load(),
-		Bad:       e.bad.Load(),
-		Completed: e.completed.Load(),
-		Active:    e.active.Load(),
-		Reaped:    e.reaped.Load(),
-		Panicked:  e.panicked.Load(),
-		Degraded:  e.degraded.Load(),
+		Submitted: e.m.submitted.Value(),
+		Rejected:  e.m.rejected.Value(),
+		Bad:       e.m.bad.Value(),
+		Completed: completed,
+		Active:    e.m.opened.Value() - completed,
+		Reaped:    e.m.reaped.Value(),
+		Panicked:  e.m.panicked.Value(),
+		Degraded:  e.m.degraded.Value(),
 	}
 }
 
@@ -940,7 +937,6 @@ func (e *Engine) openSession(sh *shard, id string, at time.Time) *liveSession {
 		ls.sess.SetTap(ls.capture)
 	}
 	sh.sessions[id] = ls
-	e.active.Add(1)
 	e.m.opened.Inc()
 	e.m.trace.Emit("session_open", id)
 	return ls
@@ -1023,8 +1019,6 @@ func (e *Engine) handle(sh *shard, q queued) {
 func (e *Engine) finish(sh *shard, id string, ls *liveSession, class string, outcome Outcome) {
 	delete(sh.sessions, id)
 	sh.clearLastT(id)
-	e.active.Add(-1)
-	e.completed.Add(1)
 	e.m.completed.Inc()
 	var latency time.Duration
 	if !ls.start.IsZero() {
@@ -1039,15 +1033,12 @@ func (e *Engine) finish(sh *shard, id string, ls *liveSession, class string, out
 		e.m.trace.Emit("session_drained", id)
 	case OutcomeReaped:
 		ls.root.Event("reaped", "")
-		e.reaped.Add(1)
 		e.m.reaped.Inc()
 		e.m.trace.Emit("session_reaped", id)
 	case OutcomePanicked:
-		e.panicked.Add(1)
 		e.m.panicked.Inc()
 		e.m.trace.Emit("session_panicked", id)
 	case OutcomeDegraded:
-		e.degraded.Add(1)
 		e.m.degraded.Inc()
 		e.m.trace.Emit("session_degraded", id)
 	default:

@@ -31,13 +31,11 @@ func sampleGesture(seed int64, class int) (geom.Path, string) {
 	return gen.Sample(c).G.Points, c.Name
 }
 
-// submitRetry submits through a Submitter with the unlimited-retry
-// policy (the producer-side policy the engine's ErrQueueFull contract
-// expects test producers to choose), failing the test on any
-// non-backpressure error.
+// submitRetry submits with SubmitWait, waiting out a full queue and
+// failing the test on any other error.
 func submitRetry(t testing.TB, e *Engine, ev Event) {
 	t.Helper()
-	if err := NewSubmitter(e, SubmitterOptions{}).Submit(ev); err != nil {
+	if err := e.SubmitWait(ev); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 }
@@ -46,18 +44,17 @@ func submitRetry(t testing.TB, e *Engine, ev Event) {
 // up) for the given session ID.
 func playSession(t testing.TB, e *Engine, id string, g geom.Path) {
 	t.Helper()
-	s := NewSubmitter(e, SubmitterOptions{})
 	for i, p := range g {
 		kind := multipath.FingerMove
 		if i == 0 {
 			kind = multipath.FingerDown
 		}
-		if err := s.Submit(Event{Session: id, Finger: 0, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
+		if err := e.SubmitWait(Event{Session: id, Finger: 0, Kind: kind, X: p.X, Y: p.Y, T: p.T}); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
 	last := g[len(g)-1]
-	if err := s.Submit(Event{Session: id, Finger: 0, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
+	if err := e.SubmitWait(Event{Session: id, Finger: 0, Kind: multipath.FingerUp, X: last.X, Y: last.Y, T: last.T + 0.01}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,24 +11,12 @@ import (
 	"repro/internal/slo"
 )
 
-// stepClock is a manual test clock satisfying obs.Clock.
-type stepClock struct{ ns atomic.Int64 }
-
-func newStepClock(at time.Time) *stepClock {
-	c := &stepClock{}
-	c.ns.Store(at.UnixNano())
-	return c
-}
-
-func (c *stepClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
-func (c *stepClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
-
 var base = time.Unix(1_700_000_000, 0)
 
 // newFixture wires a registry, manual clock, and engine over the default
 // objectives, and returns the instruments the objectives read.
-func newFixture() (*stepClock, *obs.Registry, *slo.Engine, *obs.WindowedHistogram, *obs.WindowedCounter, *obs.WindowedCounter) {
-	clk := newStepClock(base)
+func newFixture() (*obs.ManualClock, *obs.Registry, *slo.Engine, *obs.WindowedHistogram, *obs.WindowedCounter, *obs.WindowedCounter) {
+	clk := obs.NewManualClock(base)
 	reg := obs.New()
 	reg.SetClock(clk)
 	eng := slo.New(reg, slo.DefaultObjectives(), clk)

@@ -14,7 +14,9 @@ const (
 
 // NackCode is the wire form of one refused event's reason. Codes map
 // the serving engine's typed Submit errors one-to-one; see
-// OBSERVABILITY.md ("Wire ingestion") for the counter each feeds.
+// OBSERVABILITY.md ("Wire ingestion") for the counter each feeds. Codes
+// 2 and 3 stay in the protocol, so clients decode them, but they are
+// not sent by this server: it waits out a full queue instead.
 type NackCode uint8
 
 // NACK codes. Zero is reserved (an absent code).
@@ -22,11 +24,11 @@ const (
 	// NackBadEvent maps serve.ErrBadEvent: the event failed Submit-time
 	// validation and retrying cannot help.
 	NackBadEvent NackCode = 1
-	// NackQueueFull maps a bare serve.ErrQueueFull: the shard queue was
-	// full and the ingest policy chose not to retry.
+	// NackQueueFull means the shard queue was full and the server chose
+	// not to wait. Not sent by this server.
 	NackQueueFull NackCode = 2
-	// NackShed maps serve.ErrShed: the ingest Submitter retried its full
-	// budget and gave up.
+	// NackShed means the server retried a full queue and gave up. Not
+	// sent by this server.
 	NackShed NackCode = 3
 	// NackClosed maps serve.ErrClosed: the engine is shutting down; the
 	// server closes the connection after the response.

@@ -76,7 +76,7 @@
 // An all-accepted frame is the 2-byte sequence {0x06, 0x00}. Each NACK
 // carries the 0-based index of a refused event within the frame and a
 // NackCode mapping the serving engine's typed Submit errors
-// (serve.ErrBadEvent, ErrQueueFull, ErrShed, ErrClosed). A connection-
+// (serve.ErrBadEvent, ErrClosed, ErrOverloaded). A connection-
 // fatal condition is answered with
 //
 //	0x15 ('NAK') 1 byte FatalCode
