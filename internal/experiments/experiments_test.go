@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -477,5 +478,24 @@ func TestRunBackends(t *testing.T) {
 	}
 	if !strings.Contains(res.Format(), "decide-ns") {
 		t.Error("Format")
+	}
+	// The template kernel prunes exactly: its rows' accuracy, commit
+	// fraction and eagerness are bit-identical to those of the unpruned
+	// full scan, recorded here as float64 bits.
+	golden := map[string][3]uint64{ // accuracy, commit fraction, eagerness
+		"fig9": {0x3ff0000000000000, 0x3fea666666666666, 0x3fef058d8e052f46},
+		"gdp":  {0x3fefb586fb586fb6, 0x3fd3c8253c8253c8, 0x3fef411fd3eabbcf},
+	}
+	for _, r := range res.Rows {
+		if r.Backend != "template" {
+			continue
+		}
+		want := golden[r.Workload]
+		got := [3]uint64{math.Float64bits(r.Accuracy), math.Float64bits(r.CommitFrac), math.Float64bits(r.Eagerness)}
+		if got != want {
+			t.Errorf("%s/template accuracy, commit fraction, eagerness = %v, %v, %v; full scan %v, %v, %v", r.Workload,
+				r.Accuracy, r.CommitFrac, r.Eagerness,
+				math.Float64frombits(want[0]), math.Float64frombits(want[1]), math.Float64frombits(want[2]))
+		}
 	}
 }

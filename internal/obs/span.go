@@ -93,12 +93,15 @@ func newSpanBuffer(capacity int) *SpanBuffer {
 }
 
 // Start begins a new root span now. Returns nil (the disabled span) on a
-// nil buffer, without reading the clock.
+// nil buffer, without reading the clock. The clock is read inside
+// StartAt (a zero time means now), which keeps Start small enough to
+// inline to a nil check at every call site; Child, Event and End follow
+// the same pattern.
 func (b *SpanBuffer) Start(name string) *Span {
 	if b == nil {
 		return nil
 	}
-	return b.StartAt(name, time.Now())
+	return b.StartAt(name, time.Time{})
 }
 
 // StartAt begins a new root span with an explicit start time — used when
@@ -173,7 +176,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.ChildAt(name, time.Now())
+	return s.ChildAt(name, time.Time{})
 }
 
 // ChildAt begins a sub-span with an explicit start time (zero means
@@ -198,6 +201,11 @@ func (s *Span) Event(name, detail string) {
 	if s == nil {
 		return
 	}
+	s.event(name, detail)
+}
+
+// event is Event's enabled path, kept out of line so Event inlines.
+func (s *Span) event(name, detail string) {
 	now := time.Now().UnixNano()
 	r := &SpanRecord{ID: s.b.ids.Add(1), Parent: s.id, Root: s.root, Name: name, Start: now, End: now}
 	if detail != "" {
@@ -236,7 +244,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.EndAt(time.Now())
+	s.EndAt(time.Time{})
 }
 
 // EndAt finishes the span at an explicit time (zero means now) and

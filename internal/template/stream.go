@@ -20,11 +20,11 @@ type sessionMetrics struct {
 	decideNS    *obs.Histogram         // template.decide_ns: per-point latency of one Add
 	decideWinNS *obs.WindowedHistogram // window.template.decide_ns: rolling-window sibling of decideNS
 	commitFrac  *obs.Histogram         // template.commit_frac: commit point as fraction of gesture length (Run replays)
-	firedEager *obs.Counter   // template.fired.eager: strokes committed mid-stroke
-	firedEnd   *obs.Counter   // template.fired.end: strokes classified only at End
-	resets     *obs.Counter   // template.session.resets
-	poisoned   *obs.Counter   // template.session.poisoned: strokes poisoned by a non-finite point
-	degraded   *obs.Counter   // template.session.degraded: poisoned strokes recovered via Degrade
+	firedEager  *obs.Counter           // template.fired.eager: strokes committed mid-stroke
+	firedEnd    *obs.Counter           // template.fired.end: strokes classified only at End
+	resets      *obs.Counter           // template.session.resets
+	poisoned    *obs.Counter           // template.session.poisoned: strokes poisoned by a non-finite point
+	degraded    *obs.Counter           // template.session.degraded: poisoned strokes recovered via Degrade
 }
 
 // Instrument attaches the recognizer's streaming metrics (the
@@ -41,11 +41,11 @@ func (r *Recognizer) Instrument(reg *obs.Registry) {
 		decideNS:    reg.Histogram("template.decide_ns", obs.LatencyBuckets()),
 		decideWinNS: reg.WindowedHistogram("window.template.decide_ns", obs.LatencyBuckets(), 0, 0),
 		commitFrac:  reg.Histogram("template.commit_frac", obs.FractionBuckets()),
-		firedEager: reg.Counter("template.fired.eager"),
-		firedEnd:   reg.Counter("template.fired.end"),
-		resets:     reg.Counter("template.session.resets"),
-		poisoned:   reg.Counter("template.session.poisoned"),
-		degraded:   reg.Counter("template.session.degraded"),
+		firedEager:  reg.Counter("template.fired.eager"),
+		firedEnd:    reg.Counter("template.fired.end"),
+		resets:      reg.Counter("template.session.resets"),
+		poisoned:    reg.Counter("template.session.poisoned"),
+		degraded:    reg.Counter("template.session.degraded"),
 	}
 }
 
@@ -108,6 +108,11 @@ type Session struct {
 	streak      int
 	prevBest    float64
 
+	// seedBest and seedOther are the previous scored point's winner and
+	// runner-up template indices (-1 when there is none): score's seed
+	// bound. The probe moves little between points, so they stay close.
+	seedBest, seedOther int
+
 	// Instrumentation (copied from the recognizer at NewSession; all
 	// no-ops when the recognizer is uninstrumented) and per-session
 	// tracing/capture hooks, mirroring eager.Session.
@@ -140,6 +145,8 @@ func (r *Recognizer) NewSession() (*Session, error) {
 		scratch:   make([]geom.Point, 0, m),
 		probe:     make([]geom.Point, r.Opts.Points),
 		rawBounds: geom.EmptyRect(),
+		seedBest:  -1,
+		seedOther: -1,
 		m:         r.m,
 	}, nil
 }
@@ -317,12 +324,7 @@ func (s *Session) commitGatesPass(tmpl *Template, best, probeArc float64) bool {
 			return false
 		}
 	}
-	if len(s.r.Incomplete) > 0 {
-		if d := nearestOtherClass(s.r.Incomplete, s.probe, tmpl.Class); d < best+s.r.Opts.CommitMargin {
-			return false
-		}
-	}
-	return true
+	return !otherClassWithin(s.r.Incomplete, s.probe, tmpl.Class, best+s.r.Opts.CommitMargin)
 }
 
 // consume folds one finite point into the resample sketch: exact
@@ -514,7 +516,8 @@ func (s *Session) buildProbe() []geom.Point {
 func (s *Session) scoreProbe() (class string, best, other float64, bestTmpl int, probeArc float64) {
 	probe := s.buildProbe()
 	normalizeInPlace(probe, s.r.Opts.RotationInvariant)
-	class, best, other, bestTmpl = score(s.r.Templates, probe)
+	class, best, other, bestTmpl, s.seedOther = score(s.r.Templates, probe, s.seedBest, s.seedOther)
+	s.seedBest = bestTmpl
 	return class, best, other, bestTmpl, arcLen(probe)
 }
 
@@ -626,6 +629,7 @@ func (s *Session) Reset() {
 	s.streakClass = ""
 	s.streak = 0
 	s.prevBest = 0
+	s.seedBest, s.seedOther = -1, -1
 	s.m.resets.Inc()
 	s.span.Event("reset", "")
 }

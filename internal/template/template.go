@@ -282,63 +282,120 @@ func normalizeInPlace(pts []geom.Point, rotationInvariant bool) {
 	}
 }
 
-// distance is the mean point-to-point Euclidean distance between two
-// normalized strokes.
-func distance(a, b []geom.Point) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// abandonEvery is how many points distanceAtMost sums between checks
+// of its early-abandon test.
+const abandonEvery = 8
+
+// distanceAtMost is the scoring kernel: the mean point-to-point
+// Euclidean distance between two normalized strokes, abandoned as soon
+// as it provably exceeds cut. It sums per-point distances in index
+// order and, every abandonEvery points, gives up once the partial mean
+// already exceeds cut, returning ok=false with that partial mean. The
+// terms are ≥ 0 and float addition and division round monotonically, so
+// an abandoned distance would have exceeded cut in full too; an ok
+// result is the full mean, bit-identical to summing every term. Strokes
+// with no points are +Inf apart.
+//
+//glint:hotpath
+func distanceAtMost(a, b []geom.Point, cut float64) (d float64, ok bool) {
+	n := min(len(a), len(b))
 	if n == 0 {
-		return math.Inf(1)
+		return math.Inf(1), true
 	}
+	a, b = a[:n], b[:n]
+	fn := float64(n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += a[i].Dist(b[i])
+	for i := 0; i < n; {
+		end := min(i+abandonEvery, n)
+		for ; i < end; i++ {
+			sum += hypot(a[i].X-b[i].X, a[i].Y-b[i].Y)
+		}
+		if sum/fn > cut {
+			return sum / fn, false
+		}
 	}
-	return sum / float64(n)
+	return sum / fn, true
 }
 
 // score finds the nearest template and the nearest template of any
-// other class: best/bestClass is the winner (bestTmpl its index),
-// other the runner-up distance among templates whose class differs
-// from bestClass (+Inf when every template shares one class).
-// other - best is the eager mode's commit margin.
+// other class: best/bestClass is the winner (bestTmpl its index, the
+// first that attains best), other the runner-up distance among
+// templates whose class differs from bestClass (otherTmpl its index;
+// +Inf and -1 when every template shares one class). other - best is
+// the eager mode's commit margin.
+//
+// seed1 and seed2 are the indices of two templates of different
+// classes — the streaming session passes the previous point's winner
+// and runner-up; -1, or any pair that is not two in-range templates of
+// different classes, means no seed. Whatever class wins, one of the two
+// is of another class, so other ≤ U = max(d(seed1), d(seed2)), and a
+// template strictly farther than U can change none of the results.
+// Every other template is therefore scored with early abandon at U as
+// well as at the running best (same class) or other (other class)
+// distance, past which it cannot change the running results either. A
+// non-finite U bounds nothing.
 //
 //glint:hotpath
-func score(templates []Template, probe []geom.Point) (bestClass string, best, other float64, bestTmpl int) {
+func score(templates []Template, probe []geom.Point, seed1, seed2 int) (bestClass string, best, other float64, bestTmpl, otherTmpl int) {
+	bound, d1, d2 := math.Inf(1), 0.0, 0.0
+	if seed1 >= 0 && seed2 >= 0 && seed1 < len(templates) && seed2 < len(templates) &&
+		templates[seed1].Class != templates[seed2].Class {
+		d1, _ = distanceAtMost(probe, templates[seed1].Points, math.Inf(1))
+		d2, _ = distanceAtMost(probe, templates[seed2].Points, math.Inf(1))
+		bound = math.Max(d1, d2)
+	} else {
+		seed1, seed2 = -1, -1
+	}
 	best, other = math.Inf(1), math.Inf(1)
-	bestTmpl = -1
+	bestTmpl, otherTmpl = -1, -1
 	for i := range templates {
-		d := distance(probe, templates[i].Points)
+		var d float64
+		switch i {
+		case seed1:
+			d = d1
+		case seed2:
+			d = d2
+		default:
+			cut := other
+			if templates[i].Class == bestClass {
+				cut = best
+			}
+			if bound < cut {
+				cut = bound
+			}
+			var ok bool
+			if d, ok = distanceAtMost(probe, templates[i].Points, cut); !ok {
+				continue
+			}
+		}
 		if d < best {
 			if templates[i].Class != bestClass {
-				other = best
+				other, otherTmpl = best, bestTmpl
 			}
 			bestClass, best, bestTmpl = templates[i].Class, d, i
 		} else if d < other && templates[i].Class != bestClass {
-			other = d
+			other, otherTmpl = d, i
 		}
 	}
-	return bestClass, best, other, bestTmpl
+	return bestClass, best, other, bestTmpl, otherTmpl
 }
 
-// nearestOtherClass returns the distance from the probe to the nearest
-// template whose class differs from exclude (+Inf when there is none) —
-// the commit gate's query against the Incomplete prefix set.
+// otherClassWithin reports whether some template whose class differs
+// from exclude lies strictly closer to the probe than limit — the
+// commit gate's query against the Incomplete prefix set. It stops at
+// the first such template and abandons every other one at limit.
 //
 //glint:hotpath
-func nearestOtherClass(templates []Template, probe []geom.Point, exclude string) float64 {
-	best := math.Inf(1)
+func otherClassWithin(templates []Template, probe []geom.Point, exclude string, limit float64) bool {
 	for i := range templates {
 		if templates[i].Class == exclude {
 			continue
 		}
-		if d := distance(probe, templates[i].Points); d < best {
-			best = d
+		if d, ok := distanceAtMost(probe, templates[i].Points, limit); ok && d < limit {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
 // Classify returns the class of the nearest template. It fails with
@@ -360,7 +417,7 @@ func (r *Recognizer) ClassifyWithDistance(g gesture.Gesture) (string, float64, e
 		return "", 0, err
 	}
 	probe := r.normalize(g)
-	class, best, _, _ := score(r.Templates, probe)
+	class, best, _, _, _ := score(r.Templates, probe, -1, -1)
 	return class, best, nil
 }
 
