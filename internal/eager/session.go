@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/features"
 	"repro/internal/geom"
@@ -24,11 +25,11 @@ type sessionMetrics struct {
 	decideNS    *obs.Histogram         // per-point latency of one Add (the paper's D + C-hat cost)
 	decideWinNS *obs.WindowedHistogram // window.eager.decide_ns: rolling-window sibling of decideNS, feeds SLO burn rates
 	commitFrac  *obs.Histogram         // commit point as fraction of gesture length (Run replays)
-	firedEager *obs.Counter   // gestures recognized mid-stroke
-	firedEnd   *obs.Counter   // gestures classified only at End (D never fired)
-	resets     *obs.Counter   // Session.Reset calls
-	poisoned   *obs.Counter   // strokes poisoned by a non-finite point
-	degraded   *obs.Counter   // poisoned strokes recovered via Degrade
+	firedEager  *obs.Counter           // gestures recognized mid-stroke
+	firedEnd    *obs.Counter           // gestures classified only at End (D never fired)
+	resets      *obs.Counter           // Session.Reset calls
+	poisoned    *obs.Counter           // strokes poisoned by a non-finite point
+	degraded    *obs.Counter           // poisoned strokes recovered via Degrade
 }
 
 // Instrument attaches the recognizer's streaming metrics — and its two
@@ -49,11 +50,11 @@ func (r *Recognizer) Instrument(reg *obs.Registry) {
 		decideNS:    reg.Histogram("eager.decide_ns", obs.LatencyBuckets()),
 		decideWinNS: reg.WindowedHistogram("window.eager.decide_ns", obs.LatencyBuckets(), 0, 0),
 		commitFrac:  reg.Histogram("eager.commit_frac", obs.FractionBuckets()),
-		firedEager: reg.Counter("eager.fired.eager"),
-		firedEnd:   reg.Counter("eager.fired.end"),
-		resets:     reg.Counter("eager.session.resets"),
-		poisoned:   reg.Counter("eager.session.poisoned"),
-		degraded:   reg.Counter("eager.session.degraded"),
+		firedEager:  reg.Counter("eager.fired.eager"),
+		firedEnd:    reg.Counter("eager.fired.end"),
+		resets:      reg.Counter("eager.session.resets"),
+		poisoned:    reg.Counter("eager.session.poisoned"),
+		degraded:    reg.Counter("eager.session.degraded"),
 	}
 	r.Full.C.Instrument(reg, "classifier.full")
 	r.AUC.Instrument(reg, "classifier.auc")
@@ -129,6 +130,9 @@ type Session struct {
 	tap        Tap
 	lastMargin float64 // AUC margin computed on the last add, for spans/taps
 	lastBest   string  // AUC's best class name on the last add
+	// Owned storage for the per-point spans, refilled by every Add so
+	// tracing reuses it instead of allocating (see obs.Span.ChildIn).
+	decideSp, aucSp, fullSp obs.Span
 }
 
 // initialPointCapacity is the point capacity a fresh Session preallocates
@@ -219,7 +223,7 @@ func (s *Session) SetTap(t Tap) { s.tap = t }
 //glint:hotpath
 func (s *Session) Add(p geom.TimedPoint) (fired bool, class string, err error) {
 	start := obs.Start(s.m.decideNS)
-	sp := s.span.Child("decide")
+	sp := s.span.ChildIn(&s.decideSp, "decide", time.Time{})
 	s.lastMargin, s.lastBest = 0, ""
 	fired, class, err = s.add(p, sp)
 	obs.ObserveSinceWindowed(s.m.decideNS, s.m.decideWinNS, start)
@@ -278,7 +282,7 @@ func (s *Session) add(p geom.TimedPoint, sp *obs.Span) (fired bool, class string
 	if err != nil {
 		return false, "", err
 	}
-	aucSp := sp.Child("auc_score")
+	aucSp := sp.ChildIn(&s.aucSp, "auc_score", time.Time{})
 	name, _, err := s.r.AUC.ClassifyInto(f, s.aucBuf)
 	aucSp.End()
 	if err != nil {
@@ -298,7 +302,7 @@ func (s *Session) add(p geom.TimedPoint, sp *obs.Span) (fired bool, class string
 	if !IsCompleteSet(name) {
 		return false, "", nil
 	}
-	fullSp := sp.Child("full_score")
+	fullSp := sp.ChildIn(&s.fullSp, "full_score", time.Time{})
 	class, _, err = s.r.Full.C.ClassifyInto(f, s.fullBuf)
 	fullSp.End()
 	if err != nil {

@@ -361,6 +361,7 @@ type conn struct {
 	events []serve.Event
 	nacks  []wire.Nack
 	resp   []byte
+	frame  obs.Span // owned storage for each frame's "wire_frame" span
 }
 
 // serveConn runs one connection to completion: frames in, responses
@@ -440,7 +441,7 @@ func (s *Server) armWriteDeadline(c net.Conn) {
 // must tear down after the response (the engine or server is shutting
 // down).
 func (s *Server) serveFrame(c net.Conn, bw *bufio.Writer, st *conn, payload []byte, sent int64) (closing bool, err error) {
-	sp := s.m.spans.Start("wire_frame")
+	sp := s.m.spans.StartIn(&st.frame, "wire_frame", time.Time{})
 	if s.m.ingressNS != nil {
 		if d, ok := wire.SentLatency(time.Now().UnixNano(), sent, s.startNS); ok {
 			s.m.ingressNS.ObserveExemplar(float64(d), sp.ID(), 0)

@@ -355,18 +355,34 @@ func QuadForm(m *Mat, d Vec) float64 {
 		//lint:ignore nopanic shape invariant, validated at data entry points
 		panic(fmt.Sprintf("linalg: QuadForm shape mismatch %dx%d with %d", m.Rows, m.Cols, len(d)))
 	}
+	// Each row's inner product is summed in column order and the rows are
+	// added to s in row order, skipping rows where d is zero. Two rows
+	// share one pass over d, so their independent sums overlap in the
+	// pipeline; the result is bit-identical to one row at a time.
+	n := m.Cols
 	s := 0.0
-	for r := 0; r < m.Rows; r++ {
-		row := m.A[r*m.Cols : (r+1)*m.Cols]
-		dr := d[r]
-		if dr == 0 {
-			continue
+	r := 0
+	for ; r+1 < m.Rows; r += 2 {
+		row0, row1 := m.A[r*n:(r+1)*n], m.A[(r+1)*n:(r+2)*n]
+		row0, row1 = row0[:len(d)], row1[:len(d)] // drops the loop's bounds checks
+		in0, in1 := 0.0, 0.0
+		for c, dc := range d {
+			in0 += row0[c] * dc
+			in1 += row1[c] * dc
 		}
+		if d[r] != 0 {
+			s += d[r] * in0
+		}
+		if d[r+1] != 0 {
+			s += d[r+1] * in1
+		}
+	}
+	if r < m.Rows && d[r] != 0 {
 		inner := 0.0
-		for c, rv := range row {
+		for c, rv := range m.A[r*n : (r+1)*n] {
 			inner += rv * d[c]
 		}
-		s += dr * inner
+		s += d[r] * inner
 	}
 	return s
 }
@@ -374,9 +390,21 @@ func QuadForm(m *Mat, d Vec) float64 {
 // Mahalanobis returns sqrt(max(0, (a-b)' inv (a-b))): the Mahalanobis
 // distance between a and b under the metric given by the inverse covariance
 // inv. Negative quadratic forms (possible with a regularized or slightly
-// asymmetric inverse) clamp to zero.
+// asymmetric inverse) clamp to zero. Training calls it once per example
+// and class, so for vectors of up to 32 elements a-b is formed in a stack
+// buffer, with the same operations as Sub, instead of allocated.
 func Mahalanobis(inv *Mat, a, b Vec) float64 {
-	q := QuadForm(inv, a.Sub(b))
+	var buf [32]float64
+	var d Vec
+	if len(a) <= len(buf) && len(a) == len(b) {
+		d = buf[:len(a)]
+		for i := range a {
+			d[i] = a[i] - b[i]
+		}
+	} else {
+		d = a.Sub(b)
+	}
+	q := QuadForm(inv, d)
 	if q < 0 {
 		q = 0
 	}

@@ -306,6 +306,74 @@ func TestMahalanobisSymmetryProperty(t *testing.T) {
 	}
 }
 
+// quadFormRowByRow is QuadForm's defining loop, one row at a time: the
+// reference its paired-row loop must match bit for bit.
+func quadFormRowByRow(m *Mat, d Vec) float64 {
+	s := 0.0
+	for r := 0; r < m.Rows; r++ {
+		if d[r] == 0 {
+			continue
+		}
+		inner := 0.0
+		for c, rv := range m.A[r*m.Cols : (r+1)*m.Cols] {
+			inner += rv * d[c]
+		}
+		s += d[r] * inner
+	}
+	return s
+}
+
+// TestQuadFormMatchesRowByRow checks QuadForm against the one-row loop
+// on odd and even sizes, with zero entries in d (whose rows are skipped,
+// even when they hold an infinity) and widely scaled values, where any
+// change of summation order would show in the low bits.
+func TestQuadFormMatchesRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 16; n++ {
+		for trial := 0; trial < 50; trial++ {
+			m, d := NewMat(n, n), NewVec(n)
+			for i := range m.A {
+				m.A[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-8))
+			}
+			for i := range d {
+				d[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)-4))
+				if rng.Intn(4) == 0 {
+					d[i] = 0
+					m.A[i*n] = math.Inf(1)
+				}
+			}
+			got, want := QuadForm(m, d), quadFormRowByRow(m, d)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d trial %d: QuadForm = %v, row by row = %v", n, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestMahalanobisStackDifference pins Mahalanobis to its definition over
+// Sub, bit for bit, on both sides of the 32-element stack buffer, and
+// checks that the buffered side does not allocate.
+func TestMahalanobisStackDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 13, 31, 32, 33, 40} {
+		inv := randomSPD(rng, n)
+		a, b := NewVec(n), NewVec(n)
+		for trial := 0; trial < 20; trial++ {
+			for i := range a {
+				a[i], b[i] = rng.NormFloat64()*3, rng.NormFloat64()
+			}
+			want := math.Sqrt(math.Max(0, QuadForm(inv, a.Sub(b))))
+			if got := Mahalanobis(inv, a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: Mahalanobis = %v, want %v (bitwise)", n, got, want)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() { Mahalanobis(inv, a, b) })
+		if n <= 32 && allocs != 0 {
+			t.Errorf("n=%d: Mahalanobis allocated %.0f times per call, want 0", n, allocs)
+		}
+	}
+}
+
 func TestMahalanobisTriangleOnIdentity(t *testing.T) {
 	// Under the identity metric, Mahalanobis is Euclidean and must satisfy
 	// the triangle inequality.

@@ -8,7 +8,8 @@ import (
 
 // Spanend enforces the span lifecycle contract from OBSERVABILITY.md: a
 // span that a function starts (a call result of type *Span assigned to a
-// local variable) must be ended on every path out of the function —
+// local variable, including one opened in owner storage by StartIn or
+// ChildIn) must be ended on every path out of the function —
 // otherwise the record never reaches the buffer and the trace silently
 // loses a segment. A span is considered handled when the function defers
 // End/EndAt, calls End/EndAt before each return (block-structured
@@ -33,7 +34,7 @@ var spanEndMethods = map[string]bool{"End": true, "EndAt": true}
 // responsibility for it; calling them keeps the obligation in place.
 var spanUseMethods = map[string]bool{
 	"SetAttr": true, "SetAttrInt": true, "SetAttrFloat": true,
-	"Child": true, "ChildAt": true, "Event": true, "ID": true,
+	"Child": true, "ChildAt": true, "ChildIn": true, "Event": true, "ID": true,
 }
 
 func runSpanend(pass *Pass) error {

@@ -16,6 +16,9 @@ func (s *Span) EndAt(at int) {}
 // Child starts a nested span.
 func (s *Span) Child(name string) *Span { return &Span{} }
 
+// ChildIn starts a nested span in caller-owned storage.
+func (s *Span) ChildIn(c *Span, name string) *Span { return c }
+
 // SetAttr attaches an attribute.
 func (s *Span) SetAttr(k, v string) {}
 
@@ -27,6 +30,9 @@ type SpanBuffer struct{}
 
 // Start opens a root span.
 func (b *SpanBuffer) Start(name string) *Span { return &Span{} }
+
+// StartIn opens a root span in caller-owned storage.
+func (b *SpanBuffer) StartIn(r *Span, name string) *Span { return r }
 
 func neverEnded(b *SpanBuffer) {
 	sp := b.Start("work") // want `span sp is never ended`
@@ -133,4 +139,40 @@ func switchPaths(b *SpanBuffer, n int) int {
 	default:
 		return 2
 	}
+}
+
+// owner keeps span storage the way serve's liveSession and
+// eager.Session do; a span opened in it still has to be ended.
+type owner struct{ root, step Span }
+
+func ownedNeverEnded(b *SpanBuffer, o *owner) {
+	sp := b.StartIn(&o.root, "work") // want `span sp is never ended`
+	sp.SetAttr("k", "v")
+}
+
+func ownedChildLeak(b *SpanBuffer, o *owner) {
+	sp := b.StartIn(&o.root, "work")
+	c := sp.ChildIn(&o.step, "step") // want `span c is never ended`
+	c.Event("tick")
+	sp.End()
+}
+
+// ownedChildIsUse: opening a child in owner storage neither ends the
+// parent nor hands it off.
+func ownedChildIsUse(b *SpanBuffer, o *owner) {
+	sp := b.StartIn(&o.root, "work") // want `span sp is never ended`
+	c := sp.ChildIn(&o.step, "step")
+	c.End()
+}
+
+func ownedOK(b *SpanBuffer, o *owner, cond bool) error {
+	sp := b.StartIn(&o.root, "work")
+	c := sp.ChildIn(&o.step, "step")
+	c.End()
+	if cond {
+		sp.End()
+		return nil
+	}
+	sp.End()
+	return nil
 }

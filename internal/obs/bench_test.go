@@ -82,6 +82,31 @@ func BenchmarkObsDisabledSpanChildEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkObsDisabledSpanStartIn measures SpanBuffer.StartIn into
+// owner storage on a nil buffer.
+func BenchmarkObsDisabledSpanStartIn(b *testing.B) {
+	var sb *obs.SpanBuffer
+	var own obs.Span
+	for i := 0; i < b.N; i++ {
+		sinkSpan = sb.StartIn(&own, "gesture", time.Time{})
+	}
+}
+
+// BenchmarkObsDisabledSpanChildInEnd is BenchmarkObsDisabledSpanChildEnd
+// with the child opened in owner storage, as the per-point decide span
+// is.
+func BenchmarkObsDisabledSpanChildInEnd(b *testing.B) {
+	var root *obs.Span
+	var own obs.Span
+	for i := 0; i < b.N; i++ {
+		sp := root.ChildIn(&own, "decide", time.Time{})
+		sp.SetAttrInt("point", int64(i))
+		sp.SetAttr("best", "x")
+		sp.End()
+		sinkSpan = sp
+	}
+}
+
 // BenchmarkObsDisabledSpanEvent measures Span.Event on a nil span.
 func BenchmarkObsDisabledSpanEvent(b *testing.B) {
 	var root *obs.Span
@@ -210,6 +235,23 @@ func BenchmarkObsSpanRecord(b *testing.B) {
 	sinkI64 = int64(sb.Recorded())
 }
 
+// BenchmarkObsSpanRecordIn is BenchmarkObsSpanRecord with the child in
+// owner storage, as the serving path records its per-point spans: once
+// the ring's slots have all been written, 0 allocs/op.
+func BenchmarkObsSpanRecordIn(b *testing.B) {
+	sb := obs.New().Spans("bench", 1024)
+	root := sb.Start("root")
+	var own obs.Span
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := root.ChildIn(&own, "decide", time.Time{})
+		sp.SetAttrInt("point", int64(i))
+		sp.End()
+	}
+	sinkI64 = int64(sb.Recorded())
+}
+
 // TestDisabledPathUnderFiveNanoseconds enforces the <5ns/event claim
 // with testing.Benchmark. Timing assertions are meaningless under the
 // race detector's instrumentation (and noisy in -short environments), so
@@ -234,6 +276,8 @@ func TestDisabledPathUnderFiveNanoseconds(t *testing.T) {
 		{"RingEmit", BenchmarkObsDisabledRingEmit},
 		{"SpanStart", BenchmarkObsDisabledSpanStart},
 		{"SpanChildEnd", BenchmarkObsDisabledSpanChildEnd},
+		{"SpanStartIn", BenchmarkObsDisabledSpanStartIn},
+		{"SpanChildInEnd", BenchmarkObsDisabledSpanChildInEnd},
 		{"SpanEvent", BenchmarkObsDisabledSpanEvent},
 		{"WindowedCounterAdd", BenchmarkObsDisabledWindowedCounterAdd},
 		{"WindowedHistogramObserve", BenchmarkObsDisabledWindowedHistogramObserve},

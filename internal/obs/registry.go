@@ -26,8 +26,8 @@ const SnapshotSchema = 1
 // observability is attached.
 //
 // Concurrency: all methods are safe for concurrent use. Registration
-// takes a mutex; the instruments themselves are lock-free (see Counter,
-// Histogram, Ring).
+// takes a mutex; the metric instruments are lock-free (see Counter,
+// Histogram, Ring), and a SpanBuffer locks only the one slot it writes.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -47,17 +48,21 @@ type SpanRecord struct {
 }
 
 // Span is one in-flight span. Create roots with SpanBuffer.Start and
-// children with Span.Child; finish with End, which publishes an
-// immutable SpanRecord into the owning buffer.
+// children with Span.Child; finish with End, which copies the span into
+// a SpanRecord in the owning buffer. A Span is plain storage: an owner
+// that opens the same kind of span over and over (a session's per-point
+// "decide", a connection's "wire_frame") keeps one Span value and refills
+// it with SpanBuffer.StartIn or Span.ChildIn, which reuse its attribute
+// capacity, so steady-state tracing allocates nothing.
 //
 // Concurrency contract: a Span is owned by one goroutine at a time, like
 // an eager.Session — SetAttr*, Child, Event, and End must not be called
 // concurrently on the same span. Distinct spans (including a parent and
 // a child handed to another goroutine before any further mutation) are
-// independent; publication into the buffer is lock-free. Every method is
-// a no-op (Child returns nil) on a nil receiver, so disabled tracing
-// costs only the nil check per call site — the same <5 ns contract as
-// the other instruments, enforced by BenchmarkObsDisabledSpan*.
+// independent. Every method is a no-op (Child returns nil) on a nil
+// receiver, so disabled tracing costs only the nil check per call site —
+// the same <5 ns contract as the other instruments, enforced by
+// BenchmarkObsDisabledSpan*.
 type Span struct {
 	b      *SpanBuffer
 	id     uint64
@@ -69,16 +74,30 @@ type Span struct {
 	ended  bool
 }
 
-// SpanBuffer is a lock-free bounded buffer of completed spans: the last
-// Cap records, oldest overwritten first, published through atomic
-// pointers exactly like Ring. Starting a span costs one atomic ID
-// allocation plus a clock read; ending it allocates the record and
-// stores it in one slot. All methods are safe for concurrent use and
-// no-ops on a nil receiver.
+// SpanBuffer is a bounded buffer of completed spans: the last Cap
+// records, oldest overwritten first. Each ring slot is published once
+// through an atomic pointer, allocated the first time the slot is
+// written; every later lap overwrites that slot's record in place under
+// the slot's own mutex, copying the span's attributes into the record's
+// reused slice. Writers to distinct slots never contend, and a reader
+// copying a slot under its mutex never sees a torn record. So, once each
+// slot has been written once and each owner's attribute capacity has
+// grown to its span's needs, recording a span allocates nothing.
+// Starting a span costs one atomic ID allocation plus a clock read. All
+// methods are safe for concurrent use and no-ops on a nil receiver.
 type SpanBuffer struct {
-	slots []atomic.Pointer[SpanRecord]
+	slots []atomic.Pointer[spanSlot]
 	next  atomic.Uint64 // ring sequence: one per recorded span
 	ids   atomic.Uint64 // span ID allocator; IDs start at 1 (0 = "no parent")
+}
+
+// spanSlot is one ring slot's record storage. mu orders a writer
+// against readers copying the record and against a writer one lap
+// behind; it is uncontended in practice. rec.ID is 0 until the first
+// write lands.
+type spanSlot struct {
+	mu  sync.Mutex
+	rec SpanRecord
 }
 
 // defaultSpanCap is the buffer capacity used when a span buffer is
@@ -89,19 +108,20 @@ func newSpanBuffer(capacity int) *SpanBuffer {
 	if capacity <= 0 {
 		capacity = defaultSpanCap
 	}
-	return &SpanBuffer{slots: make([]atomic.Pointer[SpanRecord], capacity)}
+	return &SpanBuffer{slots: make([]atomic.Pointer[spanSlot], capacity)}
 }
 
 // Start begins a new root span now. Returns nil (the disabled span) on a
-// nil buffer, without reading the clock. The clock is read inside
-// StartAt (a zero time means now), which keeps Start small enough to
-// inline to a nil check at every call site; Child, Event and End follow
-// the same pattern.
+// nil buffer, without reading the clock. Start, StartAt, Child and
+// ChildAt are StartIn/ChildIn over a fresh heap Span; all four share
+// open, which reads the clock (a zero time means now), so each stays
+// small enough to inline to a nil check at every call site. Event and
+// End follow the same pattern.
 func (b *SpanBuffer) Start(name string) *Span {
 	if b == nil {
 		return nil
 	}
-	return b.StartAt(name, time.Time{})
+	return b.open(new(Span), nil, name, time.Time{})
 }
 
 // StartAt begins a new root span with an explicit start time — used when
@@ -112,11 +132,34 @@ func (b *SpanBuffer) StartAt(name string, at time.Time) *Span {
 	if b == nil {
 		return nil
 	}
+	return b.open(new(Span), nil, name, at)
+}
+
+// StartIn is StartAt into caller-owned storage: it overwrites *r with a
+// new root span (keeping r's attribute capacity for reuse) and returns
+// r. The previous span in r must have ended; its record is already
+// copied into the buffer, so reusing r cannot change it. Returns nil
+// without touching r on a nil buffer.
+func (b *SpanBuffer) StartIn(r *Span, name string, at time.Time) *Span {
+	if b == nil {
+		return nil
+	}
+	return b.open(r, nil, name, at)
+}
+
+// open fills r as a fresh span starting at at (zero means now): a child
+// of parent, or a root span when parent is nil. It returns r.
+func (b *SpanBuffer) open(r, parent *Span, name string, at time.Time) *Span {
 	if at.IsZero() {
 		at = time.Now()
 	}
 	id := b.ids.Add(1)
-	return &Span{b: b, id: id, root: id, name: name, start: at.UnixNano()}
+	pid, root := uint64(0), id
+	if parent != nil {
+		pid, root = parent.id, parent.root // read first: r may be parent's own storage
+	}
+	*r = Span{b: b, id: id, parent: pid, root: root, name: name, start: at.UnixNano(), attrs: r.attrs[:0]}
+	return r
 }
 
 // Cap returns the buffer's capacity; 0 on a nil receiver.
@@ -136,29 +179,50 @@ func (b *SpanBuffer) Recorded() uint64 {
 	return b.next.Load()
 }
 
-// Records returns the retained span records oldest-first (by recording
-// sequence). Best-effort under concurrent recording, like Ring.Events:
-// a record being overwritten appears as old or new, never torn. Returns
-// nil on a nil receiver.
+// Records returns copies of the retained span records oldest-first (by
+// recording sequence). Best-effort under concurrent recording, like
+// Ring.Events: a record being overwritten appears as old or new, never
+// torn. Returns nil on a nil receiver.
 func (b *SpanBuffer) Records() []SpanRecord {
 	if b == nil {
 		return nil
 	}
 	out := make([]SpanRecord, 0, len(b.slots))
 	for i := range b.slots {
-		if r := b.slots[i].Load(); r != nil {
-			out = append(out, *r)
+		sl := b.slots[i].Load()
+		if sl == nil {
+			continue
+		}
+		sl.mu.Lock()
+		r := sl.rec
+		r.Attrs = append([]Attr(nil), sl.rec.Attrs...)
+		sl.mu.Unlock()
+		if r.ID != 0 {
+			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// record publishes one completed record into the ring.
-func (b *SpanBuffer) record(r *SpanRecord) {
-	seq := b.next.Add(1) - 1
-	r.Seq = seq
-	b.slots[seq%uint64(len(b.slots))].Store(r)
+// record writes one completed span (r, whose Attrs is unset, plus its
+// attrs) into the next ring slot. attrs is copied into the slot's own
+// slice, so the record never aliases the caller's storage.
+func (b *SpanBuffer) record(r SpanRecord, attrs []Attr) {
+	r.Seq = b.next.Add(1) - 1
+	p := &b.slots[r.Seq%uint64(len(b.slots))]
+	var sl *spanSlot
+	for sl == nil {
+		// A slot's storage is allocated once, by whichever writer
+		// reaches it first; every later lap reuses it.
+		if sl = p.Load(); sl == nil {
+			p.CompareAndSwap(nil, new(spanSlot))
+		}
+	}
+	sl.mu.Lock()
+	r.Attrs = append(sl.rec.Attrs[:0], attrs...)
+	sl.rec = r
+	sl.mu.Unlock()
 }
 
 // ID returns the span's identifier (0 on a nil receiver). Child spans
@@ -176,7 +240,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.ChildAt(name, time.Time{})
+	return s.b.open(new(Span), s, name, time.Time{})
 }
 
 // ChildAt begins a sub-span with an explicit start time (zero means
@@ -187,10 +251,18 @@ func (s *Span) ChildAt(name string, at time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	if at.IsZero() {
-		at = time.Now()
+	return s.b.open(new(Span), s, name, at)
+}
+
+// ChildIn is ChildAt into caller-owned storage: it overwrites *c with a
+// new sub-span of s (keeping c's attribute capacity for reuse) and
+// returns c, under the same rules as SpanBuffer.StartIn. Returns nil
+// without touching c on a nil receiver.
+func (s *Span) ChildIn(c *Span, name string, at time.Time) *Span {
+	if s == nil {
+		return nil
 	}
-	return &Span{b: s.b, id: s.b.ids.Add(1), parent: s.id, root: s.root, name: name, start: at.UnixNano()}
+	return s.b.open(c, s, name, at)
 }
 
 // Event records an instantaneous (zero-duration) child span — commit,
@@ -207,11 +279,13 @@ func (s *Span) Event(name, detail string) {
 // event is Event's enabled path, kept out of line so Event inlines.
 func (s *Span) event(name, detail string) {
 	now := time.Now().UnixNano()
-	r := &SpanRecord{ID: s.b.ids.Add(1), Parent: s.id, Root: s.root, Name: name, Start: now, End: now}
+	r := SpanRecord{ID: s.b.ids.Add(1), Parent: s.id, Root: s.root, Name: name, Start: now, End: now}
+	attr := [1]Attr{{Key: "detail", Kind: AttrString, Str: detail}}
+	attrs := attr[:0]
 	if detail != "" {
-		r.Attrs = []Attr{{Key: "detail", Kind: AttrString, Str: detail}}
+		attrs = attr[:]
 	}
-	s.b.record(r)
+	s.b.record(r, attrs)
 }
 
 // SetAttr attaches a string attribute. No-op on a nil receiver.
@@ -248,7 +322,7 @@ func (s *Span) End() {
 }
 
 // EndAt finishes the span at an explicit time (zero means now) and
-// publishes its record. Idempotent; no-op on a nil receiver.
+// copies it into the buffer. Idempotent; no-op on a nil receiver.
 func (s *Span) EndAt(at time.Time) {
 	if s == nil || s.ended {
 		return
@@ -257,15 +331,14 @@ func (s *Span) EndAt(at time.Time) {
 	if at.IsZero() {
 		at = time.Now()
 	}
-	s.b.record(&SpanRecord{
+	s.b.record(SpanRecord{
 		ID:     s.id,
 		Parent: s.parent,
 		Root:   s.root,
 		Name:   s.name,
 		Start:  s.start,
 		End:    at.UnixNano(),
-		Attrs:  s.attrs,
-	})
+	}, s.attrs)
 }
 
 // SpanSnap is the point-in-time state of one span buffer inside a

@@ -22,6 +22,15 @@ func TestSpanNilSafety(t *testing.T) {
 	if c := s.Child("x"); c != nil {
 		t.Fatal("Child on nil span returned a span")
 	}
+	// The owner-storage entry points are disabled too, and leave the
+	// storage untouched.
+	own := *obs.New().Spans("t", 1).Start("kept")
+	if b.StartIn(&own, "x", time.Time{}) != nil || s.ChildIn(&own, "x", time.Time{}) != nil {
+		t.Fatal("StartIn/ChildIn on a nil receiver returned a span")
+	}
+	if own.ID() != 1 {
+		t.Error("disabled StartIn/ChildIn touched the owner's storage")
+	}
 	// All of these must be silent no-ops.
 	s.SetAttr("k", "v")
 	s.SetAttrInt("k", 1)
@@ -106,7 +115,7 @@ func TestSpanBufferWraps(t *testing.T) {
 }
 
 // TestSpanConcurrentRecording hammers one buffer from many goroutines —
-// the race detector referees the lock-free publication.
+// the race detector referees the per-slot publication.
 func TestSpanConcurrentRecording(t *testing.T) {
 	b := obs.New().Spans("t", 32)
 	var wg sync.WaitGroup

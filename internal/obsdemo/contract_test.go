@@ -86,6 +86,29 @@ func docSpanNames(t *testing.T) map[string]bool {
 	return names
 }
 
+// attrKeyRe matches a backquoted attribute key.
+var attrKeyRe = regexp.MustCompile("`([a-z_]+)`")
+
+// docAttrKeys parses the "Attribute keys in use:" paragraph of
+// OBSERVABILITY.md and returns the documented span attribute keys.
+func docAttrKeys(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("../../OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, para, ok := strings.Cut(string(raw), "\nAttribute keys in use:")
+	if !ok {
+		t.Fatal("no \"Attribute keys in use:\" paragraph in OBSERVABILITY.md — format drifted?")
+	}
+	para, _, _ = strings.Cut(para, "\n\n")
+	keys := map[string]bool{}
+	for _, m := range attrKeyRe.FindAllStringSubmatch(para, -1) {
+		keys[m[1]] = true
+	}
+	return keys
+}
+
 func expandRoles(name string) []string {
 	if !strings.Contains(name, "<role>") {
 		return []string{name}
@@ -154,6 +177,19 @@ func TestContractMatchesDocument(t *testing.T) {
 	for name := range liveSpans {
 		if !docSpans[name] {
 			t.Errorf("span %q is recorded but not documented in OBSERVABILITY.md", name)
+		}
+	}
+
+	// Every attribute key a recorded span carries is documented.
+	docKeys := docAttrKeys(t)
+	for _, sb := range snap.Spans {
+		for _, r := range sb.Spans {
+			for _, a := range r.Attrs {
+				if !docKeys[a.Key] {
+					t.Errorf("span %q carries attribute %q, which OBSERVABILITY.md does not list", r.Name, a.Key)
+					docKeys[a.Key] = true // report each key once
+				}
+			}
 		}
 	}
 

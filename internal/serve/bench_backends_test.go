@@ -10,11 +10,9 @@ package serve
 // eager-only figures.
 
 import (
-	"errors"
-	"runtime"
 	"testing"
 
-	"repro/internal/multipath"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/template"
 )
@@ -38,144 +36,53 @@ func trainTemplate(t testing.TB, seed int64) *template.Recognizer {
 // the ns/op sits above the eager backend's (O(templates x points)
 // scoring against O(features)), which is exactly the cost-structure
 // trade the A/B experiment quantifies.
-func BenchmarkTemplateDecidePerPoint(b *testing.B) {
-	rec := trainTemplate(b, 1)
-	s, err := rec.NewSession()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, _ := sampleGesture(2, 0)
-	for _, p := range g {
-		s.Add(p)
-	}
-	s.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	j := 0
-	for i := 0; i < b.N; i++ {
-		if j == len(g) {
-			s.Reset()
-			j = 0
-		}
-		s.Add(g[j])
-		j++
-	}
+func BenchmarkTemplateDecidePerPoint(b *testing.B) { benchDecide(b, trainTemplate(b, 1), nil) }
+
+// BenchmarkTemplateDecidePerPointObs is BenchmarkTemplateDecidePerPoint
+// with decide metrics and the per-point decide span recorded, measured
+// once every span ring slot has been written.
+func BenchmarkTemplateDecidePerPointObs(b *testing.B) {
+	benchDecide(b, trainTemplate(b, 1), obs.New())
 }
 
 // BenchmarkTemplateSubmitSteadyState measures the full engine path with
 // the template backend selected via Options.Backend — Submit, shard
 // dispatch, streaming decide, completion, pool return — in steady
 // state. 0 allocs/op means backend selection costs nothing per event.
-func BenchmarkTemplateSubmitSteadyState(b *testing.B) {
-	e, err := New(nil, Options{Backend: trainTemplate(b, 1), Shards: 1, QueueDepth: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	g, _ := sampleGesture(2, 0)
-	playSession(b, e, "bench", g)
-	if err := e.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	t, j := g[len(g)-1].T+1, 0
-	for i := 0; i < b.N; i++ {
-		ev := Event{Session: "bench", Finger: 0, T: t}
-		switch {
-		case j == 0:
-			ev.Kind = multipath.FingerDown
-			ev.X, ev.Y = g[0].X, g[0].Y
-		case j < len(g):
-			ev.Kind = multipath.FingerMove
-			ev.X, ev.Y = g[j].X, g[j].Y
-		default:
-			ev.Kind = multipath.FingerUp
-			ev.X, ev.Y = g[len(g)-1].X, g[len(g)-1].Y
-		}
-		for {
-			err := e.Submit(ev)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				b.Fatal(err)
-			}
-			runtime.Gosched() // backpressure: let the shard drain
-		}
-		t++
-		if j++; j > len(g) {
-			j = 0
-		}
-	}
-	b.StopTimer()
+func BenchmarkTemplateSubmitSteadyState(b *testing.B) { benchSubmit(b, trainTemplate(b, 1), nil) }
+
+// BenchmarkTemplateSubmitSteadyStateObs is
+// BenchmarkTemplateSubmitSteadyState with the engine and backend
+// instrumented.
+func BenchmarkTemplateSubmitSteadyStateObs(b *testing.B) {
+	benchSubmit(b, trainTemplate(b, 1), obs.New())
 }
 
 // TestTemplateDecidePathZeroAlloc is the allocation gate as a hard
 // test: a warm template session must perform zero allocations per Add,
 // the same contract TestDecidePathZeroAlloc pins for the eager backend.
 func TestTemplateDecidePathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the contract is asserted by the non-race pass")
-	}
-	rec := trainTemplate(t, 1)
-	s, err := rec.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := sampleGesture(2, 0)
-	for _, p := range g {
-		s.Add(p)
-	}
-	s.Reset()
-	j := 0
-	allocs := testing.AllocsPerRun(400, func() {
-		if j == len(g) {
-			s.Reset()
-			j = 0
-		}
-		s.Add(g[j])
-		j++
-	})
-	if allocs != 0 {
-		t.Fatalf("template decide path allocated %.2f times per point; the //glint:hotpath contract requires 0", allocs)
-	}
+	skipUnderRace(t)
+	gateDecide(t, trainTemplate(t, 1), nil)
+}
+
+// TestTemplateDecidePathZeroAllocObs is the instrumented template twin
+// of TestDecidePathZeroAllocObs.
+func TestTemplateDecidePathZeroAllocObs(t *testing.T) {
+	skipUnderRace(t)
+	gateDecide(t, trainTemplate(t, 1), obs.New())
 }
 
 // TestTemplateSubmitPathZeroAlloc extends the gate to the engine's
 // intake half with the template backend serving.
 func TestTemplateSubmitPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the contract is asserted by the non-race pass")
-	}
-	e, err := New(nil, Options{Backend: trainTemplate(t, 1), Shards: 1, QueueDepth: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	g, _ := sampleGesture(2, 0)
-	playSession(t, e, "warm", g)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Submit(Event{Session: "warm", Finger: 0, Kind: multipath.FingerDown, X: g[0].X, Y: g[0].Y, T: g[len(g)-1].T + 1}); err != nil {
-		t.Fatal(err)
-	}
-	ts := g[len(g)-1].T + 2
-	allocs := testing.AllocsPerRun(400, func() {
-		for {
-			err := e.Submit(Event{Session: "warm", Finger: 0, Kind: multipath.FingerMove, X: g[0].X, Y: g[0].Y, T: ts})
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				t.Fatal(err)
-			}
-			runtime.Gosched()
-		}
-		ts++
-	})
-	if allocs != 0 {
-		t.Fatalf("template Submit allocated %.2f times per event; the //glint:hotpath contract requires 0", allocs)
-	}
+	skipUnderRace(t)
+	gateSubmit(t, trainTemplate(t, 1), nil)
+}
+
+// TestTemplateSubmitPathZeroAllocObs is the instrumented template twin
+// of TestSubmitPathZeroAllocObs.
+func TestTemplateSubmitPathZeroAllocObs(t *testing.T) {
+	skipUnderRace(t)
+	gateSubmit(t, trainTemplate(t, 1), obs.New())
 }

@@ -399,11 +399,33 @@ type liveSession struct {
 	start   time.Time
 	root    *obs.Span
 	capture *flight.Capture
+	// spans is the storage root and the per-event queue_wait/dispatch
+	// children are opened in; it survives pool revival so a warm session
+	// traces without allocating.
+	spans sessionSpans
 	// events is the 0-based dispatch index handed to the fault hook;
 	// lastActive is the Clock reading of the last dispatched event (only
 	// maintained when deadlines are armed).
 	events     int
 	lastActive time.Time
+}
+
+// sessionSpans is a liveSession's owned span storage (see
+// obs.SpanBuffer.StartIn). Gesture roots alternate between two slots: a
+// revived session's recognition stream still holds the previous
+// gesture's root when the next gesture restarts it, and records its
+// "reset" event under that root, so the slot must outlive one more
+// gesture.
+type sessionSpans struct {
+	roots               [2]obs.Span
+	opened              int // gestures opened in this storage; picks the root slot
+	queueWait, dispatch obs.Span
+}
+
+// nextRoot returns the storage for the next gesture's root span.
+func (sp *sessionSpans) nextRoot() *obs.Span {
+	sp.opened++
+	return &sp.roots[sp.opened%2]
 }
 
 // shard is one worker goroutine's world: its queue and the sessions it
@@ -924,12 +946,11 @@ func (e *Engine) openSession(sh *shard, id string, at time.Time) *liveSession {
 	if ls == nil {
 		ls = &liveSession{snap: snap, sess: multipath.NewSession(snap.backend)}
 	} else {
-		sess := ls.sess
-		*ls = liveSession{snap: snap, sess: sess}
+		*ls = liveSession{snap: snap, sess: ls.sess, spans: ls.spans}
 	}
 	ls.start = at
 	ls.sess.SetDegradedFallback(true)
-	ls.root = e.m.spans.StartAt("gesture", at)
+	ls.root = e.m.spans.StartIn(ls.spans.nextRoot(), "gesture", at)
 	ls.root.SetAttr("session", id)
 	ls.sess.SetSpan(ls.root)
 	if e.opts.Flight != nil {
@@ -974,9 +995,9 @@ func (e *Engine) handle(sh *shard, q queued) {
 		}
 		ls = e.openSession(sh, ev.Session, q.at)
 	}
-	qsp := ls.root.ChildAt("queue_wait", q.at)
+	qsp := ls.root.ChildIn(&ls.spans.queueWait, "queue_wait", q.at)
 	qsp.End()
-	dsp := ls.root.Child("dispatch")
+	dsp := ls.root.ChildIn(&ls.spans.dispatch, "dispatch", time.Time{})
 	panicked := e.dispatch(ev.Session, ls, ev)
 	dsp.End()
 	if ev.SentNS > 0 && e.m.e2e != nil {

@@ -3,6 +3,7 @@ package template
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/gesture"
@@ -121,6 +122,10 @@ type Session struct {
 	tap        recognizer.Tap
 	lastMargin float64
 	lastBest   string
+	// decideSp is the owned storage every Add refills with its "decide"
+	// span, so tracing reuses it instead of allocating (see
+	// obs.Span.ChildIn).
+	decideSp obs.Span
 }
 
 // NewSession starts a streaming template-matching session. It fails
@@ -203,7 +208,7 @@ func (s *Session) SetTap(t recognizer.Tap) { s.tap = t }
 //glint:hotpath
 func (s *Session) Add(p geom.TimedPoint) (fired bool, class string, err error) {
 	start := obs.Start(s.m.decideNS)
-	sp := s.span.Child("decide")
+	sp := s.span.ChildIn(&s.decideSp, "decide", time.Time{})
 	s.lastMargin, s.lastBest = 0, ""
 	fired, class, err = s.add(p)
 	obs.ObserveSinceWindowed(s.m.decideNS, s.m.decideWinNS, start)
