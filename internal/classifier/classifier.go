@@ -92,13 +92,13 @@ type Options struct {
 type Classifier struct {
 	Classes []string     `json:"classes"`
 	Dim     int          `json:"dim"`
-	Weights []linalg.Vec `json:"weights"` // per class, length Dim
-	Consts  []float64    `json:"consts"`  // per class constant terms w_c0
-	Means   []linalg.Vec `json:"means"`   // per class feature means
-	InvCov  *linalg.Mat  `json:"invCov"`  // inverse of the pooled covariance
-	Ridge   float64      `json:"ridge"`   // regularization applied, 0 if none
+	Weights []linalg.Vec `json:"weights"`         // per class, length Dim
+	Consts  []float64    `json:"consts"`          // per class constant terms w_c0
+	Means   []linalg.Vec `json:"means"`           // per class feature means
+	InvCov  *linalg.Mat  `json:"invCov"`          // inverse of the pooled covariance
+	Ridge   float64      `json:"ridge"`           // regularization applied, 0 if none
 	Blend   float64      `json:"blend,omitempty"` // identity-blend weight applied, 0 if none
-	Counts  []int        `json:"counts"`  // training examples per class
+	Counts  []int        `json:"counts"`          // training examples per class
 
 	// m is the attached instrumentation; its zero value (no registry)
 	// makes every metric call a no-op. Unexported, so serialization and

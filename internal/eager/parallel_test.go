@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/gesture"
 	"repro/internal/geom"
+	"repro/internal/gesture"
 	"repro/internal/synth"
 )
 

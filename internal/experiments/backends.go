@@ -31,7 +31,7 @@ type BackendRow struct {
 	// before the decision (1.0 for a stroke decided only at End).
 	Eagerness float64
 	// DecideNS is the mean wall-clock cost of one Stream.Add.
-	DecideNS float64
+	DecideNS  float64
 	TrainTime time.Duration
 }
 

@@ -17,27 +17,29 @@
 //     scheduling.
 //
 //   - Engine side: serve.Options.Fault accepts anything implementing
-//     the engine's Injector hook (both Schedule and Script do); the
-//     engine consults it once per dispatched event, inside the shard
+//     the engine's Injector hook (Schedule does); the engine consults
+//     it once per dispatched event, inside the shard
 //     goroutine, where it can corrupt coordinates after Submit-time
 //     validation (simulating internal corruption) or force a panic
 //     (exercising per-shard panic isolation).
 //
-// Every applied injection counts into the fault.injected.* counters
-// (see OBSERVABILITY.md) when Instrument attached a registry, so a
-// chaos run can check that each scheduled fault is visible end to end.
-// All hooks are nil-safe no-ops: a nil *Schedule (or *Script, or a nil
-// serve.Options.Fault) costs a nil check and nothing else, holding the
-// sub-5ns disabled-path contract (benchmark-enforced, like
-// internal/obs).
+// One driver type, Schedule, serves both: NewSchedule draws its fates
+// from seeded rates, NewScript from exact rules. Every applied
+// injection counts into the fault.injected.* counters (see
+// OBSERVABILITY.md) when Instrument attached a registry, so a chaos run
+// can check that each scheduled fault is visible end to end. All hooks
+// are nil-safe no-ops: a nil *Schedule (or a nil serve.Options.Fault)
+// costs a nil check and nothing else, holding the sub-5ns
+// disabled-path contract (benchmark-enforced, like internal/obs).
+//
+// The seeded-fate mechanism itself — the FNV-1a roll, the validated
+// rate streams, the exact rules and the per-kind counters — is Fates
+// (core.go), which internal/netfault's connection-level driver shares.
 package fault
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -74,8 +76,6 @@ const (
 	// engine — past Submit validation — poisoning the eager extractor
 	// and exercising the degraded-classification fallback.
 	KindPoison
-
-	kindCount
 )
 
 // producerKinds are the kinds Fate can return, in rate-table order.
@@ -126,89 +126,52 @@ type Plan struct {
 	Rates map[Kind]float64
 }
 
-// injectMetrics is the shared per-kind counter set. The zero value
-// (all nil) is the uninstrumented state: every note is a nil-safe
-// no-op.
-type injectMetrics struct {
-	byKind [kindCount]*obs.Counter // fault.injected.<kind>
-	total  *obs.Counter            // fault.injected.total
-}
+// The hash domains of the producer-side and engine-side fates.
+const (
+	producer byte = 'p'
+	engine   byte = 'e'
+)
 
-func (im *injectMetrics) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, k := range producerKinds {
-		im.byKind[k] = reg.Counter("fault.injected." + k.String())
-	}
-	for _, k := range engineKinds {
-		im.byKind[k] = reg.Counter("fault.injected." + k.String())
-	}
-	im.total = reg.Counter("fault.injected.total")
-}
-
-func (im *injectMetrics) note(k Kind) {
-	if k <= KindNone || k >= kindCount {
-		return
-	}
-	im.byKind[k].Inc()
-	im.total.Inc()
-}
-
-// Schedule makes deterministic, order-independent fault decisions: the
-// fate of event index i of session s depends only on (seed, s, i), via
-// FNV-1a, never on call order or timing. Safe for concurrent use (the
-// decision is a pure function; the counters are atomic), and nil-safe:
-// a nil *Schedule never injects.
+// Schedule is the fault driver. The fate of event index i of session s
+// comes either from seeded rates (NewSchedule), as a pure FNV-1a
+// function of (seed, side, s, i) that never depends on call order or
+// timing, or from exact rules (NewScript). Configure before serving;
+// Fate and Dispatch are then safe for concurrent use. Nil-safe: a nil
+// *Schedule never injects.
 type Schedule struct {
-	seed    int64
-	prodCum []float64 // cumulative rates aligned with producerKinds
-	dispCum []float64 // cumulative rates aligned with engineKinds
-	m       injectMetrics
+	f Fates[Kind]
+}
+
+func newSchedule(seed int64) *Schedule {
+	return &Schedule{f: NewFates(seed,
+		Domain[Kind]{ID: producer, Kinds: producerKinds},
+		Domain[Kind]{ID: engine, Kinds: engineKinds})}
 }
 
 // NewSchedule validates a Plan and builds its Schedule. Rates outside
 // [0, 1], unknown kinds, or a group summing past 1 are errors.
 func NewSchedule(p Plan) (*Schedule, error) {
-	known := map[Kind]bool{}
-	for _, k := range producerKinds {
-		known[k] = true
-	}
-	for _, k := range engineKinds {
-		known[k] = true
-	}
-	kinds := make([]Kind, 0, len(p.Rates))
-	for k := range p.Rates {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		r := p.Rates[k]
-		if !known[k] {
-			return nil, fmt.Errorf("fault: rate for unknown kind %v", k)
-		}
-		if math.IsNaN(r) || r < 0 || r > 1 {
-			return nil, fmt.Errorf("fault: rate for %v must be in [0, 1], got %v", k, r)
-		}
-	}
-	s := &Schedule{seed: p.Seed}
-	cum := 0.0
-	for _, k := range producerKinds {
-		cum += p.Rates[k]
-		s.prodCum = append(s.prodCum, cum)
-	}
-	if cum > 1 {
-		return nil, fmt.Errorf("fault: producer-side rates sum to %v > 1", cum)
-	}
-	cum = 0
-	for _, k := range engineKinds {
-		cum += p.Rates[k]
-		s.dispCum = append(s.dispCum, cum)
-	}
-	if cum > 1 {
-		return nil, fmt.Errorf("fault: engine-side rates sum to %v > 1", cum)
+	s := newSchedule(p.Seed)
+	if err := s.f.Rate("fault", p.Rates, producer, engine); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// NewScript returns a Schedule whose fates come from exact rules
+// instead of rates, for a workload that needs exactly one fault in
+// exactly one place (the obsdemo's deterministic failure segment). It
+// injects nothing until Set.
+func NewScript() *Schedule { return newSchedule(0) }
+
+// Set schedules kind at the session's 0-based dispatch index and
+// returns the schedule for chaining. Only engine-side kinds
+// (KindPanic, KindPoison) have any effect. The first rule makes the
+// schedule scripted: its rates no longer apply. Not safe concurrently
+// with Dispatch — finish scripting before serving.
+func (s *Schedule) Set(session string, index int, k Kind) *Schedule {
+	s.f.Set(engine, session, index, k)
+	return s
 }
 
 // Instrument attaches the fault.injected.* counters (one per kind plus
@@ -218,41 +181,17 @@ func (s *Schedule) Instrument(reg *obs.Registry) {
 	if s == nil {
 		return
 	}
-	s.m.instrument(reg)
-}
-
-// roll returns a uniform [0, 1) draw for one (domain, session, index)
-// triple, the deterministic coin behind every decision. Separate
-// domains keep the producer and engine decision streams independent.
-func (s *Schedule) roll(domain byte, session string, index int) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.seed))
-	h.Write(buf[:])
-	h.Write([]byte{domain})
-	h.Write([]byte(session))
-	binary.LittleEndian.PutUint64(buf[:], uint64(index))
-	h.Write(buf[:])
-	// Top 53 bits -> [0, 1) with full double precision.
-	return float64(h.Sum64()>>11) / (1 << 53)
+	s.f.Instrument(reg, "fault.injected.")
 }
 
 // Fate decides the producer-side fault, if any, for event index of the
 // session. The caller owns applying it (and therefore every returned
 // non-None kind is counted as injected). Nil-safe: returns KindNone.
 func (s *Schedule) Fate(session string, index int) Kind {
-	if s == nil || len(s.prodCum) == 0 || s.prodCum[len(s.prodCum)-1] == 0 {
+	if s == nil {
 		return KindNone
 	}
-	u := s.roll('p', session, index)
-	for i, c := range s.prodCum {
-		if u < c {
-			k := producerKinds[i]
-			s.m.note(k)
-			return k
-		}
-	}
-	return KindNone
+	return s.f.Fate(producer, session, index)
 }
 
 // Dispatch is the engine-side hook (serve.Options.Fault): consulted
@@ -261,76 +200,13 @@ func (s *Schedule) Fate(session string, index int) Kind {
 // corrupted coordinates plus panicNow, which asks the engine to panic
 // in place of dispatching. Nil-safe: passes coordinates through.
 func (s *Schedule) Dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
-	if s == nil || len(s.dispCum) == 0 || s.dispCum[len(s.dispCum)-1] == 0 {
+	if s == nil {
 		return x, y, false
 	}
-	u := s.roll('e', session, index)
-	for i, c := range s.dispCum {
-		if u < c {
-			k := engineKinds[i]
-			s.m.note(k)
-			switch k {
-			case KindPanic:
-				return x, y, true
-			case KindPoison:
-				return math.NaN(), math.NaN(), false
-			}
-		}
-	}
-	return x, y, false
-}
-
-// Script is the targeted counterpart of Schedule: explicit
-// (session, dispatch index) -> Kind rules for the engine-side hook,
-// used where a workload needs exactly one fault in exactly one place
-// (the obsdemo's deterministic failure segment). Configure with Set
-// before serving; Dispatch is then read-only and safe for concurrent
-// use. Nil-safe like Schedule.
-type Script struct {
-	rules map[string]map[int]Kind
-	m     injectMetrics
-}
-
-// NewScript returns an empty script (injects nothing until Set).
-func NewScript() *Script {
-	return &Script{rules: map[string]map[int]Kind{}}
-}
-
-// Set schedules kind at the session's 0-based dispatch index and
-// returns the script for chaining. Only engine-side kinds (KindPanic,
-// KindPoison) have any effect. Not safe concurrently with Dispatch —
-// finish scripting before serving.
-func (sc *Script) Set(session string, index int, k Kind) *Script {
-	byIdx := sc.rules[session]
-	if byIdx == nil {
-		byIdx = map[int]Kind{}
-		sc.rules[session] = byIdx
-	}
-	byIdx[index] = k
-	return sc
-}
-
-// Instrument attaches the fault.injected.* counters to the registry,
-// exactly as Schedule.Instrument does. Nil-safe.
-func (sc *Script) Instrument(reg *obs.Registry) {
-	if sc == nil {
-		return
-	}
-	sc.m.instrument(reg)
-}
-
-// Dispatch implements the engine-side hook for scripted faults; see
-// Schedule.Dispatch for the signature contract.
-func (sc *Script) Dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
-	if sc == nil {
-		return x, y, false
-	}
-	switch sc.rules[session][index] {
+	switch s.f.Fate(engine, session, index) {
 	case KindPanic:
-		sc.m.note(KindPanic)
 		return x, y, true
 	case KindPoison:
-		sc.m.note(KindPoison)
 		return math.NaN(), math.NaN(), false
 	}
 	return x, y, false

@@ -172,7 +172,7 @@ func TestNewScheduleRejectsBadPlans(t *testing.T) {
 // Nil receivers must behave as "no faults", not crash.
 func TestNilHooksAreNoOps(t *testing.T) {
 	var s *fault.Schedule
-	var sc *fault.Script
+	var sc *fault.Schedule // the type NewScript returns
 	s.Instrument(obs.New())
 	sc.Instrument(obs.New())
 	if k := s.Fate("x", 0); k != fault.KindNone {

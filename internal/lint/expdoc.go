@@ -8,10 +8,11 @@ import (
 // ExpdocPackages lists the import paths whose exported identifiers must
 // all carry doc comments. These are the concurrency-bearing packages —
 // the serving engine, both streaming recognizer backends, the backend
-// interface itself, the session layer, and the metrics layer — where an
-// undocumented exported identifier is an undocumented concurrency
-// contract (DESIGN.md §7, BACKENDS.md). The var is exported so tests
-// can scope the analyzer to fixture packages.
+// interface itself, the session layer, the metrics layer, and the chaos
+// core with its connection-level adapter — where an undocumented
+// exported identifier is an undocumented concurrency contract
+// (DESIGN.md §7, BACKENDS.md). The var is exported so tests can scope
+// the analyzer to fixture packages.
 var ExpdocPackages = map[string]bool{
 	"repro/internal/serve":      true,
 	"repro/internal/eager":      true,
@@ -21,6 +22,7 @@ var ExpdocPackages = map[string]bool{
 	"repro/internal/recognizer": true,
 	"repro/internal/slo":        true,
 	"repro/internal/netfault":   true,
+	"repro/internal/fault":      true,
 }
 
 // Expdoc reports exported identifiers of the documented-contract
@@ -28,7 +30,7 @@ var ExpdocPackages = map[string]bool{
 var Expdoc = &Analyzer{
 	Name: "expdoc",
 	Doc: "flag exported identifiers without doc comments in the concurrency-contract packages " +
-		"(repro/internal/{serve,eager,obs,template,multipath,recognizer,slo,netfault}); every exported identifier there must document its " +
+		"(repro/internal/{serve,eager,obs,template,multipath,recognizer,slo,netfault,fault}); every exported identifier there must document its " +
 		"behaviour, including its concurrency contract where it has one.",
 	Run: runExpdoc,
 }

@@ -59,7 +59,7 @@ func runLockbalance(pass *Pass) error {
 // lockKey identifies one mutex chain in one mode within a scope.
 type lockKey struct {
 	chain string // rendered receiver, e.g. "e.mu"
-	mode   string // "Lock" or "RLock"
+	mode  string // "Lock" or "RLock"
 }
 
 // lockState tracks one key's events inside a scope.

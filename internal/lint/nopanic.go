@@ -34,7 +34,7 @@ var Nopanic = &Analyzer{
 type funcNode struct {
 	decl     *ast.FuncDecl
 	exported bool
-	panics   []token.Pos     // direct panic call sites in the body
+	panics   []token.Pos // direct panic call sites in the body
 	calls    map[*funcNode]bool
 }
 

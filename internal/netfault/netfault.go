@@ -6,24 +6,24 @@
 // (internal/wire + internal/ingest) can be chaos-tested over real
 // sockets under -race against exact invariants.
 //
-// Determinism mirrors internal/fault: the fate of the i-th I/O
-// operation in a given direction on the connection labelled c is a pure
-// FNV-1a function of (seed, direction, c, i) — never of timing or
-// goroutine scheduling — so two runs with the same seed inject exactly
-// the same faults. (The ISSUE's "byte-range i" is realized as the
-// operation index: writes are frame-aligned in this stack, so the i-th
-// write is the i-th frame.)
+// Determinism mirrors internal/fault, whose seeded-fate core (Fates)
+// this package shares: the fate of the i-th I/O operation in a given
+// direction on the connection labelled c is a pure FNV-1a function of
+// (seed, direction, c, i) — never of timing or goroutine scheduling —
+// so two runs with the same seed inject exactly the same faults. The
+// operation index stands for a byte range: writes are frame-aligned in
+// this stack, so the i-th write is the i-th frame.
 //
-// Two drivers, as in internal/fault: Schedule draws fates from seeded
-// per-kind rates (independent read- and write-side rate tables), and
-// Script pins exact (label, direction, op index, kind) rules for
-// isolation tests and the obsdemo's deterministic segment. Both count
-// every applied injection into the netfault.injected.* counters when
-// Instrument attached a registry (see OBSERVABILITY.md), and both keep
-// always-on atomic tallies readable via Counts, so a load generator can
-// report injections without carrying a registry. All entry points are
-// nil-safe: a nil *Schedule or *Script wraps nothing and decides
-// KindNone.
+// One driver type, as in internal/fault: a Schedule from NewSchedule
+// draws fates from seeded per-kind rates (independent read- and
+// write-side rate tables), and one from NewScript follows exact
+// (label, direction, op index, kind) rules, for isolation tests and the
+// obsdemo's deterministic segment. Every applied injection counts into
+// one per-kind counter set, readable via Counts without a registry (so
+// a load generator can report injections) and moved into the
+// netfault.injected.* counters when Instrument attaches one (see
+// OBSERVABILITY.md). All entry points are nil-safe: a nil *Schedule
+// wraps nothing and decides KindNone.
 //
 // Detectability note: a bit flip anywhere in a wire frame is surfaced
 // by the decoder as a typed error (ErrCorrupt / ErrOversized /
@@ -38,16 +38,13 @@
 package netfault
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"net"
-	"sort"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -81,8 +78,6 @@ const (
 	// KindReset closes the connection and fails the operation,
 	// simulating a peer reset (RST) mid-conversation.
 	KindReset
-
-	kindCount
 )
 
 // readKinds are the kinds a read operation can draw, in rate-table order.
@@ -153,84 +148,35 @@ type Plan struct {
 	MaxDelay time.Duration
 }
 
-// injectMetrics is the per-kind counter set plus always-on atomic
-// tallies. The zero value is the uninstrumented state: notes still
-// tally, the obs side is a nil-safe no-op.
-type injectMetrics struct {
-	byKind [kindCount]*obs.Counter // netfault.injected.<kind>
-	total  *obs.Counter            // netfault.injected.total
-	tally  [kindCount]atomic.Uint64
-}
-
-func (im *injectMetrics) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for k := KindNone + 1; k < kindCount; k++ {
-		im.byKind[k] = reg.Counter("netfault.injected." + k.String())
-	}
-	im.total = reg.Counter("netfault.injected.total")
-}
-
-func (im *injectMetrics) note(k Kind) {
-	if k <= KindNone || k >= kindCount {
-		return
-	}
-	im.tally[k].Add(1)
-	im.byKind[k].Inc()
-	im.total.Inc()
-}
-
-func (im *injectMetrics) counts() map[string]uint64 {
-	out := map[string]uint64{}
-	for k := KindNone + 1; k < kindCount; k++ {
-		if n := im.tally[k].Load(); n > 0 {
-			out[k.String()] = n
-		}
-	}
-	return out
-}
-
-// timing is the sleep configuration a Conn consults for KindStall and
-// KindJitter.
-type timing struct {
-	stall time.Duration
-	delay time.Duration
-	sleep func(time.Duration)
-}
-
-func (t *timing) defaults() {
-	if t.stall == 0 {
-		t.stall = 20 * time.Millisecond
-	}
-	if t.delay == 0 {
-		t.delay = 2 * time.Millisecond
-	}
-	if t.sleep == nil {
-		t.sleep = time.Sleep
-	}
-}
-
-// faults is what a wrapped Conn needs from its driver: a deterministic
-// decision per operation (which notes itself as injected when
-// non-None, since the Conn is guaranteed to apply it) and the sleep
-// configuration.
-type faults interface {
-	decide(d Dir, label string, index int) Kind
-	timing() *timing
-}
-
-// Schedule draws deterministic connection-fault decisions from seeded
-// rates: the fate of operation i in direction d on the connection
-// labelled c depends only on (seed, d, c, i). Safe for concurrent use;
-// nil-safe (a nil *Schedule never wraps and never injects).
+// Schedule is the connection-fault driver: the fate of operation i in
+// direction d on the connection labelled c comes either from seeded
+// rates (NewSchedule), as a pure function of (seed, d, c, i), or from
+// exact rules (NewScript). Configure before wrapping connections; it is
+// then safe for concurrent use. Nil-safe: a nil *Schedule never wraps
+// and never injects.
 type Schedule struct {
-	seed     int64
-	readCum  []float64 // cumulative rates aligned with readKinds
-	writeCum []float64 // cumulative rates aligned with writeKinds
-	m        injectMetrics
-	t        timing
-	accepts  atomic.Int64
+	f       fault.Fates[Kind]
+	stall   time.Duration // the KindStall sleep
+	delay   time.Duration // the KindJitter sleep cap
+	sleep   func(time.Duration)
+	accepts atomic.Int64
+}
+
+func newSchedule(seed int64, stall, delay time.Duration) *Schedule {
+	if stall == 0 {
+		stall = 20 * time.Millisecond
+	}
+	if delay == 0 {
+		delay = 2 * time.Millisecond
+	}
+	return &Schedule{
+		f: fault.NewFates(seed,
+			fault.Domain[Kind]{ID: byte(DirRead), Kinds: readKinds},
+			fault.Domain[Kind]{ID: byte(DirWrite), Kinds: writeKinds}),
+		stall: stall,
+		delay: delay,
+		sleep: time.Sleep,
+	}
 }
 
 // NewSchedule validates a Plan and builds its Schedule. Rates outside
@@ -240,49 +186,31 @@ func NewSchedule(p Plan) (*Schedule, error) {
 	if p.StallFor < 0 || p.MaxDelay < 0 {
 		return nil, fmt.Errorf("netfault: negative duration (stall %v, delay %v)", p.StallFor, p.MaxDelay)
 	}
-	s := &Schedule{seed: p.Seed, t: timing{stall: p.StallFor, delay: p.MaxDelay}}
-	s.t.defaults()
-	var err error
-	if s.readCum, err = cumRates("read", p.ReadRates, readKinds); err != nil {
+	s := newSchedule(p.Seed, p.StallFor, p.MaxDelay)
+	if err := s.f.Rate("netfault read", p.ReadRates, byte(DirRead)); err != nil {
 		return nil, err
 	}
-	if s.writeCum, err = cumRates("write", p.WriteRates, writeKinds); err != nil {
+	if err := s.f.Rate("netfault write", p.WriteRates, byte(DirWrite)); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// cumRates validates one direction's rate map against its kind table
-// and folds it into a cumulative-probability slice.
-func cumRates(dir string, rates map[Kind]float64, table []Kind) ([]float64, error) {
-	known := map[Kind]bool{}
-	for _, k := range table {
-		known[k] = true
-	}
-	kinds := make([]Kind, 0, len(rates))
-	for k := range rates {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		r := rates[k]
-		if !known[k] {
-			return nil, fmt.Errorf("netfault: %s rate for inapplicable kind %v", dir, k)
-		}
-		if math.IsNaN(r) || r < 0 || r > 1 {
-			return nil, fmt.Errorf("netfault: %s rate for %v must be in [0, 1], got %v", dir, k, r)
-		}
-	}
-	cum := make([]float64, 0, len(table))
-	sum := 0.0
-	for _, k := range table {
-		sum += rates[k]
-		cum = append(cum, sum)
-	}
-	if sum > 1 {
-		return nil, fmt.Errorf("netfault: %s rates sum to %v > 1", dir, sum)
-	}
-	return cum, nil
+// NewScript returns a Schedule whose fates come from exact rules
+// instead of rates, for workloads that need exactly one fault in
+// exactly one place (the obsdemo segment, the isolation tests). It
+// injects nothing until Set.
+func NewScript() *Schedule { return newSchedule(0, 0, 0) }
+
+// Set schedules kind at the label's 0-based operation index in
+// direction d and returns the schedule for chaining. Kinds inapplicable
+// to the direction (Split on a read, ShortRead on a write) are applied
+// as no-fault. The first rule makes the schedule scripted: its rates no
+// longer apply. Not safe concurrently with I/O — finish scripting
+// first.
+func (s *Schedule) Set(label string, d Dir, index int, k Kind) *Schedule {
+	s.f.Set(byte(d), label, index, k)
+	return s
 }
 
 // Instrument attaches the netfault.injected.* counters (one per kind
@@ -292,7 +220,7 @@ func (s *Schedule) Instrument(reg *obs.Registry) {
 	if s == nil {
 		return
 	}
-	s.m.instrument(reg)
+	s.f.Instrument(reg, "netfault.injected.")
 }
 
 // SetSleep replaces the real time.Sleep behind KindStall and KindJitter
@@ -305,31 +233,18 @@ func (s *Schedule) SetSleep(fn func(time.Duration)) {
 	if fn == nil {
 		fn = time.Sleep
 	}
-	s.t.sleep = fn
+	s.sleep = fn
 }
 
-// Counts snapshots the always-on injection tallies: metric suffix →
-// applied count, nonzero kinds only. Nil-safe (returns an empty map).
+// Counts snapshots the injection counters: metric suffix → applied
+// count, nonzero kinds only, with or without a registry attached (once
+// Instrument attached one, schedules sharing it share the counters).
+// Nil-safe (returns an empty map).
 func (s *Schedule) Counts() map[string]uint64 {
 	if s == nil {
 		return map[string]uint64{}
 	}
-	return s.m.counts()
-}
-
-// roll returns a uniform [0, 1) draw for one (direction, label, index)
-// triple — the deterministic coin behind every decision.
-func (s *Schedule) roll(d Dir, label string, index int) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.seed))
-	h.Write(buf[:])
-	h.Write([]byte{byte(d)})
-	h.Write([]byte(label))
-	binary.LittleEndian.PutUint64(buf[:], uint64(index))
-	h.Write(buf[:])
-	// Top 53 bits -> [0, 1) with full double precision.
-	return float64(h.Sum64()>>11) / (1 << 53)
+	return s.f.Counts()
 }
 
 // Decide returns the fault for the index-th operation in direction d on
@@ -341,27 +256,8 @@ func (s *Schedule) Decide(d Dir, label string, index int) Kind {
 	if s == nil {
 		return KindNone
 	}
-	table, cum := readKinds, s.readCum
-	if d == DirWrite {
-		table, cum = writeKinds, s.writeCum
-	}
-	if len(cum) == 0 || cum[len(cum)-1] == 0 {
-		return KindNone
-	}
-	u := s.roll(d, label, index)
-	for i, c := range cum {
-		if u < c {
-			k := table[i]
-			s.m.note(k)
-			return k
-		}
-	}
-	return KindNone
+	return s.f.Fate(byte(d), label, index)
 }
-
-func (s *Schedule) decide(d Dir, label string, index int) Kind { return s.Decide(d, label, index) }
-
-func (s *Schedule) timing() *timing { return &s.t }
 
 // Conn wraps c so its reads and writes draw faults from the schedule
 // under the given label. Nil-safe: a nil *Schedule returns c unwrapped.
@@ -369,7 +265,7 @@ func (s *Schedule) Conn(c net.Conn, label string) net.Conn {
 	if s == nil {
 		return c
 	}
-	return &Conn{Conn: c, f: s, label: label}
+	return &Conn{Conn: c, s: s, label: label}
 }
 
 // Listener wraps ln so every accepted connection is fault-wrapped with
@@ -399,105 +295,15 @@ func (l *listener) Accept() (net.Conn, error) {
 	return l.s.Conn(c, fmt.Sprintf("a%d", n)), nil
 }
 
-// scriptKey addresses one exact operation: connection label, direction,
-// 0-based op index.
-type scriptKey struct {
-	label string
-	d     Dir
-	index int
-}
-
-// Script is the targeted counterpart of Schedule: explicit
-// (label, direction, op index) → Kind rules, for workloads that need
-// exactly one fault in exactly one place (the obsdemo segment, the
-// isolation tests). Configure with Set before any I/O; decisions are
-// then read-only and safe for concurrent use. Nil-safe like Schedule.
-type Script struct {
-	rules map[scriptKey]Kind
-	m     injectMetrics
-	t     timing
-}
-
-// NewScript returns an empty script (injects nothing until Set).
-func NewScript() *Script {
-	sc := &Script{rules: map[scriptKey]Kind{}}
-	sc.t.defaults()
-	return sc
-}
-
-// Set schedules kind at the label's 0-based operation index in
-// direction d and returns the script for chaining. Kinds inapplicable
-// to the direction (Split on a read, ShortRead on a write) are applied
-// as no-fault. Not safe concurrently with I/O — finish scripting first.
-func (sc *Script) Set(label string, d Dir, index int, k Kind) *Script {
-	sc.rules[scriptKey{label: label, d: d, index: index}] = k
-	return sc
-}
-
-// Instrument attaches the netfault.injected.* counters to the registry,
-// exactly as Schedule.Instrument does. Nil-safe.
-func (sc *Script) Instrument(reg *obs.Registry) {
-	if sc == nil {
-		return
-	}
-	sc.m.instrument(reg)
-}
-
-// SetSleep replaces the sleep behind KindStall and KindJitter; see
-// Schedule.SetSleep.
-func (sc *Script) SetSleep(fn func(time.Duration)) {
-	if sc == nil {
-		return
-	}
-	if fn == nil {
-		fn = time.Sleep
-	}
-	sc.t.sleep = fn
-}
-
-// Counts snapshots the always-on injection tallies; see
-// Schedule.Counts. Nil-safe.
-func (sc *Script) Counts() map[string]uint64 {
-	if sc == nil {
-		return map[string]uint64{}
-	}
-	return sc.m.counts()
-}
-
-func (sc *Script) decide(d Dir, label string, index int) Kind {
-	if sc == nil {
-		return KindNone
-	}
-	k := sc.rules[scriptKey{label: label, d: d, index: index}]
-	if k <= KindNone || k >= kindCount {
-		return KindNone
-	}
-	if (d == DirRead && k == KindSplit) || (d == DirWrite && k == KindShortRead) {
-		return KindNone
-	}
-	sc.m.note(k)
-	return k
-}
-
-func (sc *Script) timing() *timing { return &sc.t }
-
-// Conn wraps c so its operations follow the script under the given
-// label. Nil-safe: a nil *Script returns c unwrapped.
-func (sc *Script) Conn(c net.Conn, label string) net.Conn {
-	if sc == nil {
-		return c
-	}
-	return &Conn{Conn: c, f: sc, label: label}
-}
-
 // Conn is a fault-wrapped net.Conn: each Read and Write consults the
-// driver for the operation's fate and applies it. Deadlines, addresses,
-// and Close pass through to the wrapped connection. Read and Write are
-// each single-sequence (op indices are atomic, so one concurrent reader
-// plus one concurrent writer — the net.Conn contract — is safe).
+// schedule for the operation's fate and applies it. Deadlines,
+// addresses, and Close pass through to the wrapped connection. Read and
+// Write are each single-sequence (op indices are atomic, so one
+// concurrent reader plus one concurrent writer — the net.Conn contract
+// — is safe).
 type Conn struct {
 	net.Conn
-	f      faults
+	s      *Schedule
 	label  string
 	rd, wr atomic.Int64
 }
@@ -507,12 +313,7 @@ type Conn struct {
 // separate stream from the fate decision so parameters don't perturb
 // fates.
 func mixU(label string, index int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(index))
-	h.Write(buf[:])
-	return h.Sum64()
+	return uint64(fault.NewFNV.Str(label).Uint64(uint64(index)))
 }
 
 // frameStampLo/frameStampHi delimit the CRC-exempt client-send stamp
@@ -539,8 +340,7 @@ func corruptPos(n int, u uint64) int {
 
 // jitterFor converts the parameter draw into a sleep in [0, max).
 func jitterFor(u uint64, max time.Duration) time.Duration {
-	frac := float64(u>>11) / (1 << 53)
-	return time.Duration(frac * float64(max))
+	return time.Duration(fault.Unit(u) * float64(max))
 }
 
 // Read reads from the wrapped connection, applying the read-side fault
@@ -550,8 +350,7 @@ func jitterFor(u uint64, max time.Duration) time.Duration {
 // ErrInjected, stalls and jitter sleep first.
 func (c *Conn) Read(b []byte) (int, error) {
 	idx := int(c.rd.Add(1) - 1)
-	t := c.f.timing()
-	switch c.f.decide(DirRead, c.label, idx) {
+	switch c.s.Decide(DirRead, c.label, idx) {
 	case KindShortRead:
 		if len(b) > 1 {
 			b = b[:1]
@@ -570,9 +369,9 @@ func (c *Conn) Read(b []byte) (int, error) {
 		c.Conn.Close()
 		return 0, fmt.Errorf("%w: read reset on %s op %d", ErrInjected, c.label, idx)
 	case KindStall:
-		t.sleep(t.stall)
+		c.s.sleep(c.s.stall)
 	case KindJitter:
-		t.sleep(jitterFor(mixU(c.label, idx), t.delay))
+		c.s.sleep(jitterFor(mixU(c.label, idx), c.s.delay))
 	}
 	return c.Conn.Read(b)
 }
@@ -584,8 +383,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 // and fail with ErrInjected, stalls and jitter sleep first.
 func (c *Conn) Write(b []byte) (int, error) {
 	idx := int(c.wr.Add(1) - 1)
-	t := c.f.timing()
-	switch c.f.decide(DirWrite, c.label, idx) {
+	switch c.s.Decide(DirWrite, c.label, idx) {
 	case KindSplit:
 		if len(b) >= 2 {
 			cut := 1 + int(mixU(c.label, idx)%uint64(len(b)-1))
@@ -617,9 +415,9 @@ func (c *Conn) Write(b []byte) (int, error) {
 		c.Conn.Close()
 		return 0, fmt.Errorf("%w: write reset on %s op %d", ErrInjected, c.label, idx)
 	case KindStall:
-		t.sleep(t.stall)
+		c.s.sleep(c.s.stall)
 	case KindJitter:
-		t.sleep(jitterFor(mixU(c.label, idx), t.delay))
+		c.s.sleep(jitterFor(mixU(c.label, idx), c.s.delay))
 	}
 	return c.Conn.Write(b)
 }

@@ -130,7 +130,7 @@ func TestPlanValidation(t *testing.T) {
 // nothing.
 func TestNilSafety(t *testing.T) {
 	var s *Schedule
-	var sc *Script
+	var sc *Schedule // the type NewScript returns
 	if k := s.Decide(DirRead, "x", 0); k != KindNone {
 		t.Fatalf("nil schedule decided %v", k)
 	}
@@ -364,6 +364,30 @@ func TestListenerLabels(t *testing.T) {
 		t.Fatalf("short read through listener = (%d, %v)", n, err)
 	}
 	<-done
+}
+
+// TestInstrumentMovesCounts: injections counted before Instrument move
+// into the registry with the counters, and Counts reads the registry's
+// counters afterwards, so there is one count per kind, not two.
+func TestInstrumentMovesCounts(t *testing.T) {
+	sc := NewScript().Set("c", DirWrite, 0, KindSplit).Set("c", DirWrite, 1, KindSplit)
+	if k := sc.Decide(DirWrite, "c", 0); k != KindSplit {
+		t.Fatalf("op 0 decided %v, want split", k)
+	}
+	reg := obs.New()
+	sc.Instrument(reg)
+	sc.Instrument(reg) // a second attach to the same registry moves nothing
+	if v := snapCounter(t, reg, "netfault.injected.split"); v != 1 {
+		t.Fatalf("netfault.injected.split = %d after Instrument, want the 1 counted before", v)
+	}
+	sc.Decide(DirWrite, "c", 1)
+	reg.Counter("netfault.injected.split").Inc()
+	if got := sc.Counts()["split"]; got != 3 {
+		t.Fatalf("Counts()[split] = %d, want the registry's 3", got)
+	}
+	if v := snapCounter(t, reg, "netfault.injected.total"); v != 2 {
+		t.Fatalf("netfault.injected.total = %d, want 2", v)
+	}
 }
 
 // snapCounter extracts one counter value from a registry snapshot.

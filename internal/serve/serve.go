@@ -165,8 +165,9 @@ type Result struct {
 	Outcome Outcome
 }
 
-// Injector is the engine-side fault-injection hook (fault.Schedule and
-// fault.Script implement it). When Options.Fault is set, the engine
+// Injector is the engine-side fault-injection hook. *fault.Schedule
+// implements it, with fates from seeded rates (fault.NewSchedule) or
+// exact rules (fault.NewScript). When Options.Fault is set, the engine
 // consults Dispatch once per dispatched event — from the shard
 // goroutine, with the session's 0-based dispatch index — and uses the
 // possibly-corrupted coordinates; panicNow=true makes the engine panic

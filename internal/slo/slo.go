@@ -292,9 +292,9 @@ func (e *Engine) Evaluate() Evaluation {
 	for _, o := range e.objectives {
 		st := evaluate(o, snap)
 		ev.Objectives = append(ev.Objectives, st)
-		e.reg.Gauge("slo."+o.Name+".burn_fast").Set(st.BurnFast)
-		e.reg.Gauge("slo."+o.Name+".burn_slow").Set(st.BurnSlow)
-		e.reg.Gauge("slo."+o.Name+".state").Set(float64(st.State))
+		e.reg.Gauge("slo." + o.Name + ".burn_fast").Set(st.BurnFast)
+		e.reg.Gauge("slo." + o.Name + ".burn_slow").Set(st.BurnSlow)
+		e.reg.Gauge("slo." + o.Name + ".state").Set(float64(st.State))
 	}
 	return ev
 }

@@ -250,9 +250,9 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 			p = appendUvarint(p, uint64(i)) // sid == next table slot
 			p = appendUvarint(p, 1)
 			p = append(p, 's')
-			p = append(p, 0, 0)                  // finger, kind
-			p = appendU64(p, 0)                  // x
-			p = appendU64(p, 0)                  // y
+			p = append(p, 0, 0)                    // finger, kind
+			p = appendU64(p, 0)                    // x
+			p = appendU64(p, 0)                    // y
 			p = appendUvarint(p, zigzag(int64(i))) // t
 		}
 		if _, _, err := NewDecoder().DecodeFrame(reframe(p), nil); !errors.Is(err, ErrCorrupt) {
